@@ -165,7 +165,19 @@ int ResultCache::sweep(const std::map<std::string, bool>& live) const {
   return removed;
 }
 
-Journal::Journal(std::string path) : path_(std::move(path)) {}
+Journal::Journal(std::string path) : path_(std::move(path)) {
+  // A crash mid-append leaves an unterminated final record.  End that line
+  // now, or the next record would fuse with the fragment and be lost to
+  // replay (which would then recompute and re-append it on every resume).
+  std::ifstream in(path_, std::ios::binary | std::ios::ate);
+  if (!in.good() || in.tellg() <= 0) return;
+  in.seekg(-1, std::ios::end);
+  if (in.get() == '\n') return;
+  std::ofstream out(path_, std::ios::app);
+  out << '\n';
+  if (!out.flush())
+    throw ModelError("campaign journal: cannot repair " + path_);
+}
 
 void Journal::append(const JournalEntry& entry) {
   util::json::Writer w;

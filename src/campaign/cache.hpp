@@ -96,6 +96,8 @@ struct JournalEntry {
 /// final line after SIGKILL the only possible corruption).
 class Journal {
 public:
+  /// Opens `path` for appending; a torn (unterminated) final record left
+  /// by a crash is closed off with a newline first.
   explicit Journal(std::string path);
 
   /// Append one record and flush it to the OS, so a SIGKILL immediately

@@ -5,7 +5,7 @@
 // unit consumes the border verdict of its (defect, point) cell -- when the
 // border analysis finds no detectable fault anywhere in the sweep range,
 // the optimization is provably futile (optimize_stresses would throw), so
-// the runner skips it with a recorded reason instead of burning retries.
+// the executor skips it with a recorded reason instead of burning retries.
 //
 // Cache keys hash every input the unit result depends on: the column
 // netlist signature (device names, kinds and terminal nodes), the defect,

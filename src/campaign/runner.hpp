@@ -1,61 +1,38 @@
-// Campaign executor: runs the plan's unit DAG on the parallel task pool
-// with caching, journaling, bounded retries and quarantine.
+// `dramstress campaign run`: one campaign in this process, as a single
+// session of a private Scheduler (scheduler.hpp).
 //
-// Execution is wave-based: every unit whose dependencies are resolved runs
-// in the current wave (util::parallel_for over the ready set), then newly
-// unblocked units form the next wave.  Per unit, in order:
-//   1. a quarantine verdict replayed from the journal (--resume) is
-//      restored as-is, without re-burning retries;
-//   2. the content-addressed cache is consulted -- a hit short-circuits
-//      the computation (this is what makes `campaign run` incremental);
-//   3. otherwise the unit is computed with a bounded retry loop: each
-//      retry perturbs the Newton damping (max_step *= damping_backoff)
-//      and relaxes the iteration budget, the classic continuation trick
-//      for a non-converging operating point.  A unit that exhausts its
-//      attempts -- or exceeds the per-unit wall-clock timeout -- is
-//      quarantined into the failure report instead of aborting the run.
+// The Scheduler is the only campaign executor -- dependency gates,
+// futile-optimize skips, quarantine restore, cache lookups, bounded
+// retries and journaling all live there -- so this facade adds just what
+// a user-picked run directory needs on top of a daemon session: it
+// refuses to reuse a directory that already holds a journal unless asked
+// to resume, and it turns a failed session (torn journal, disk full) into
+// an exception.  Unit failures never throw; they quarantine.
 //
-// Determinism: report.json contains only inputs-determined content (unit
-// ids, payloads, quarantine reasons) -- no timestamps, no attempt counts,
-// no thread ids -- and every payload round-trips through the same JSON
-// writer whether it was computed or cache-loaded.  A resumed run's report
-// is therefore byte-identical to the uninterrupted one, and so is a
-// 4-thread run to a 1-thread run (quarantine timing aside: the wall-clock
-// timeout only fires on units that are already failing).
+// Determinism: report.json is byte-identical across resumes, thread
+// counts, and the daemon (scheduler.hpp, "Determinism"), quarantine
+// timing aside -- the wall-clock timeout only fires on units that are
+// already failing.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "campaign/plan.hpp"
 #include "campaign/unit_exec.hpp"
 #include "dram/technology.hpp"
-#include "util/error.hpp"
 #include "verify/diagnostic.hpp"
 
 namespace dramstress::campaign {
 
-/// Thrown by the stop_after_units test hook to simulate a crash at a
-/// clean journal boundary (real kills are exercised by the CI job).
-struct CampaignInterrupted : Error {
-  using Error::Error;
-};
-
 struct RunnerOptions {
-  /// Worker threads for the unit waves; 0 = util::default_threads().
-  /// Units run their inner sweeps serially, so this is the only
-  /// parallelism level -- no oversubscription.
+  /// Scheduler workers; 0 = util::default_threads().  Units run their
+  /// inner sweeps serially, so this is the only parallelism level -- no
+  /// oversubscription.
   int threads = 0;
   /// Replay an existing journal instead of refusing to reuse the run
   /// directory.
   bool resume = false;
-  /// Test hook: invoked before each computation attempt; throwing
-  /// simulates that attempt failing (non-convergence, hang, ...).
-  std::function<void(const WorkUnit&, int attempt)> fault_injector;
-  /// Test hook: after this many units have been computed and journaled,
-  /// throw CampaignInterrupted (> 0 enables).
-  int stop_after_units = 0;
 };
 
 struct CampaignResult {
@@ -83,8 +60,8 @@ public:
                  RunnerOptions opt);
 
   /// Execute the campaign.  Throws ModelError when the run directory has
-  /// a journal and resume is off; throws CampaignInterrupted from the
-  /// stop_after_units hook.  Unit failures never throw -- they quarantine.
+  /// a journal and resume is off, and when the session fails (its error
+  /// is the message).  Unit failures never throw -- they quarantine.
   CampaignResult run();
 
 private:

@@ -10,6 +10,7 @@
 #include "campaign/spec.hpp"
 #include "campaign/unit_exec.hpp"
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "util/annotations.hpp"
 #include "util/parallel.hpp"
 #include "util/strings.hpp"
@@ -73,7 +74,6 @@ struct Session {
 struct Scheduler::Impl {
   dram::TechnologyParams tech;
   SharedCache* cache;
-  SchedulerOptions opt;
   int workers = 0;
 
   mutable util::Mutex mu;
@@ -96,8 +96,9 @@ struct Scheduler::Impl {
       inflight DS_GUARDED_BY(mu);
   std::vector<std::thread> pool;
 
-  Impl(const dram::TechnologyParams& t, SharedCache* c, SchedulerOptions o)
-      : tech(t), cache(c), opt(std::move(o)) {
+  Impl(const dram::TechnologyParams& t, SharedCache* c,
+       const SchedulerOptions& opt)
+      : tech(t), cache(c) {
     workers = opt.workers > 0 ? opt.workers : util::default_threads();
     pool.reserve(static_cast<size_t>(workers));
     for (int w = 0; w < workers; ++w)
@@ -254,9 +255,8 @@ struct Scheduler::Impl {
     cv_done.notify_all();
   }
 
-  /// All units resolved: serialize the reports (shared with the runner,
-  /// so the bytes match `campaign run` exactly) and mark the session
-  /// finished.
+  /// All units resolved: serialize the reports (unit_exec.hpp) and mark
+  /// the session finished.
   void finalize_session(const std::shared_ptr<Session>& s) {
     const std::string report = report_json(s->plan, s->outcomes);
     const std::string failures = failures_json(s->plan, s->outcomes);
@@ -274,9 +274,10 @@ struct Scheduler::Impl {
     cv_done.notify_all();
   }
 
-  // --- the per-unit pipeline (mirrors CampaignRunner::run step 1..4) ----
+  // --- the per-unit pipeline (scheduler.hpp, steps 1..5) ---------------
 
   void execute(const std::shared_ptr<Session>& s, size_t i) {
+    OBS_SPAN("campaign.unit");
     const WorkUnit& u = s->plan.units[i];
     const std::string key_hex = u.key.hex();
     bool owns_inflight = false;
@@ -316,7 +317,7 @@ struct Scheduler::Impl {
           check_futile = true;
         }
         if (out.status == UnitStatus::Skipped) {
-          obs::count("scheduler.unit_skipped");
+          obs::count("campaign.unit_skipped");
           finalize = resolve_locked(s, i, std::move(out));
           resolved_early = true;
         } else {
@@ -328,7 +329,7 @@ struct Scheduler::Impl {
             out.status = UnitStatus::Quarantined;
             out.attempts = rep->second.attempts;
             out.error = rep->second.error;
-            obs::count("scheduler.unit_quarantined");
+            obs::count("campaign.unit_quarantined");
             finalize = resolve_locked(s, i, std::move(out));
             resolved_early = true;
           }
@@ -345,7 +346,7 @@ struct Scheduler::Impl {
             "none), optimization is futile";
         {
           util::MutexLock lock(mu);
-          obs::count("scheduler.unit_skipped");
+          obs::count("campaign.unit_skipped");
           finalize = resolve_locked(s, i, std::move(out));
         }
         if (finalize) finalize_session(s);
@@ -360,7 +361,7 @@ struct Scheduler::Impl {
         if (hit.has_value()) {
           out.status = UnitStatus::Cached;
           out.payload = std::move(*hit);
-          obs::count("scheduler.unit_cached");
+          obs::count("campaign.unit_cached");
           bool append = false;
           {
             util::MutexLock lock(mu);
@@ -396,21 +397,20 @@ struct Scheduler::Impl {
           s->state[i] = UnitState::Waiting;
           --s->running;
           ++deduplicated;
-          obs::count("scheduler.unit_deduped");
+          obs::count("campaign.unit_deduped");
           return;
         }
         inflight[key_hex];
         owns_inflight = true;
       }
 
-      // 5. Compute, with bounded retries (campaign/unit_exec.hpp: shared
-      //    with the single-process runner).
-      out = compute_with_retries(s->plan, u, tech, opt.fault_injector);
+      // 5. Compute, with bounded retries (campaign/unit_exec.hpp).
+      out = compute_with_retries(s->plan, u, tech);
       if (out.status == UnitStatus::Done) {
         cache->store(u.key, out.payload);
-        obs::count("scheduler.unit_done");
+        obs::count("campaign.unit_done");
       } else {
-        obs::count("scheduler.unit_quarantined");
+        obs::count("campaign.unit_quarantined");
       }
       s->journal->append({u.id, key_hex,
                           out.status == UnitStatus::Done ? "done"
@@ -474,7 +474,7 @@ struct Scheduler::Impl {
 
 Scheduler::Scheduler(const dram::TechnologyParams& tech, SharedCache* cache,
                      SchedulerOptions opt)
-    : impl_(std::make_unique<Impl>(tech, cache, std::move(opt))) {}
+    : impl_(std::make_unique<Impl>(tech, cache, opt)) {}
 
 Scheduler::~Scheduler() = default;
 
@@ -498,7 +498,7 @@ SessionStatus Scheduler::submit(const std::string& client,
   const std::string journal_path =
       (fs::path(run_dir) / "journal.jsonl").string();
   // The daemon owns its run directories: an existing journal is always
-  // resumed (the single-process runner's --resume gate exists to protect
+  // resumed (CampaignRunner's --resume gate exists to protect
   // *user-picked* directories from accidental reuse).
   if (fs::exists(journal_path))
     s->replayed = Journal::replay(journal_path, &s->diagnostics);
@@ -553,6 +553,14 @@ std::optional<SessionStatus> Scheduler::session(const std::string& id) const {
   const std::shared_ptr<Session> s = impl_->find_locked(id);
   if (s == nullptr) return std::nullopt;
   return impl_->status_locked(s);
+}
+
+std::optional<SessionOutcomes> Scheduler::outcomes(
+    const std::string& id) const {
+  util::MutexLock lock(impl_->mu);
+  const std::shared_ptr<Session> s = impl_->find_locked(id);
+  if (s == nullptr || !s->finished) return std::nullopt;
+  return SessionOutcomes{s->outcomes, s->diagnostics};
 }
 
 SchedulerStatus Scheduler::status() const {

@@ -1,12 +1,13 @@
 // Multi-campaign scheduler: many concurrent campaign sessions multiplexed
 // over one shared worker pool, backed by the shared result cache.
 //
-// This is the execution core of `dramstress serve` (src/service).  Where
-// CampaignRunner owns one plan and a private thread team, the Scheduler
-// accepts campaign sessions from many clients and lets a fixed pool of
-// workers *steal work across campaigns*: any idle worker takes the next
-// ready unit of whichever session fairness points at, so one client's
-// 3-unit campaign is not starved behind another's 300-unit matrix.
+// This is the one executor of campaign work-unit DAGs.  `dramstress serve`
+// (src/service) feeds it sessions from many clients; `dramstress campaign
+// run` (CampaignRunner, runner.hpp) is a single in-process session on a
+// private Scheduler.  A fixed pool of workers *steals work across
+// campaigns*: any idle worker takes the next ready unit of whichever
+// session fairness points at, so one client's 3-unit campaign is not
+// starved behind another's 300-unit matrix.
 //
 // Fairness.  Dispatch is round-robin over *clients* (first-seen order),
 // then round-robin over a client's sessions, then lowest-index ready unit
@@ -20,22 +21,34 @@
 // then takes the cache hit.  A quarantined computation is never shared --
 // each waiting session retries it under its own retry policy.
 //
-// Determinism.  The per-unit pipeline (dependency gates, futile-optimize
-// skips, quarantine restore from the journal, bounded retries) and the
-// report serialization are exactly the runner's (campaign/unit_exec.hpp),
-// so a session's report.json is byte-identical to the single-process
-// `campaign run` of the same spec, at any worker count, across
-// kill-and-resume.  A run directory that already holds a journal is
-// always resumed -- the daemon owns its run directories, so resubmitting
-// a spec after a crash (or while it is running: submits are idempotent
-// per session id) continues instead of refusing.
+// Per unit, in order (each pass runs inside a `campaign.unit` span, and
+// each unit resolves into one of the campaign.unit_done / _cached /
+// _quarantined / _skipped counters):
+//   1. dependency gate: a quarantined or skipped dependency poisons the
+//      unit, and a border that proves there is no fault makes an optimize
+//      unit futile (skipped);
+//   2. a quarantine verdict replayed from the journal is restored as-is,
+//      without re-burning retries;
+//   3. the shared cache is consulted -- a hit short-circuits the
+//      computation (this is what makes campaigns incremental);
+//   4. a key another session is computing right now waits for that
+//      result instead of simulating it twice;
+//   5. otherwise the unit is computed with bounded retries
+//      (compute_with_retries, unit_exec.hpp), stored and journaled.
+//
+// Determinism.  report.json holds only inputs-determined content and is
+// serialized by unit_exec.hpp, so a session's report is byte-identical at
+// any worker count, across kill-and-resume, and whether the daemon or
+// `campaign run` produced it.  A run directory that already holds a
+// journal is always resumed -- the daemon owns its run directories, so
+// resubmitting a spec after a crash (or while it is running: submits are
+// idempotent per session id) continues instead of refusing.
 //
 // All session state is guarded by the scheduler's single mutex; sessions
 // are internal to the implementation and queried through the status
 // snapshots below.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -43,7 +56,9 @@
 
 #include "campaign/cache_index.hpp"
 #include "campaign/plan.hpp"
+#include "campaign/unit_exec.hpp"
 #include "dram/technology.hpp"
+#include "verify/diagnostic.hpp"
 
 namespace dramstress::campaign {
 
@@ -80,8 +95,13 @@ struct SchedulerStatus {
 struct SchedulerOptions {
   /// Worker threads of the shared pool; 0 = util::default_threads().
   int workers = 0;
-  /// Test hook forwarded to compute_with_retries (see RunnerOptions).
-  std::function<void(const WorkUnit&, int attempt)> fault_injector;
+};
+
+/// What a finished session knows beyond its SessionStatus counts.
+struct SessionOutcomes {
+  std::vector<UnitOutcome> outcomes;  // indexed like plan.units
+  /// E310 corruption warnings from the journal replay and cache reads.
+  verify::VerifyReport diagnostics;
 };
 
 class Scheduler {
@@ -107,6 +127,10 @@ public:
   /// Status of one session / all sessions (submission order).
   std::optional<SessionStatus> session(const std::string& id) const;
   SchedulerStatus status() const;
+
+  /// Per-unit outcomes and diagnostics of session `id`; nullopt while it
+  /// is unknown or not yet terminal.
+  std::optional<SessionOutcomes> outcomes(const std::string& id) const;
 
   /// Block until session `id` reaches a terminal state; false on timeout
   /// or unknown id (timeout_s <= 0 waits forever).

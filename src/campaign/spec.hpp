@@ -3,7 +3,7 @@
 // A campaign is the production shape of the paper's method: a matrix of
 // {defect, stress point, analysis kind} expanded into independent work
 // units (plan.hpp) and executed fault-tolerantly with an on-disk result
-// cache (runner.hpp).  The spec is plain JSON parsed with util/json and
+// cache (scheduler.hpp).  The spec is plain JSON parsed with util/json and
 // validated through the verify diagnostics engine: every schema violation
 // becomes a line-numbered E3xx diagnostic (docs/LINT.md) instead of a
 // crash, so malformed or truncated specs fail with an actionable message.
@@ -45,7 +45,7 @@ struct StressPoint {
   stress::StressCondition condition;
 };
 
-/// Fault-tolerance policy of the runner (docs/CAMPAIGN.md).
+/// Fault-tolerance policy of every unit (docs/CAMPAIGN.md).
 struct RetryPolicy {
   /// Total attempts per unit (first try included).  On a retry the Newton
   /// damping is perturbed: max_step shrinks by damping_backoff per attempt
@@ -90,7 +90,7 @@ std::optional<CampaignSpec> parse_spec(const std::string& text,
 std::optional<CampaignSpec> load_spec(const std::string& path,
                                       verify::VerifyReport* report);
 
-/// Serialize a spec back to schema-shaped JSON (the runner stores a copy
+/// Serialize a spec back to schema-shaped JSON (the executor stores a copy
 /// in the run directory so `campaign status|gc` are self-contained).
 std::string spec_json(const CampaignSpec& spec);
 

@@ -102,10 +102,8 @@ bool border_shows_fault(const std::string& payload) {
          (fe != nullptr && fe->is_bool() && fe->boolean);
 }
 
-UnitOutcome compute_with_retries(
-    const CampaignPlan& plan, const WorkUnit& u,
-    const dram::TechnologyParams& tech,
-    const std::function<void(const WorkUnit&, int attempt)>& fault_injector) {
+UnitOutcome compute_with_retries(const CampaignPlan& plan, const WorkUnit& u,
+                                 const dram::TechnologyParams& tech) {
   UnitOutcome out;
   dram::SimSettings settings = plan.spec.settings;
   const RetryPolicy& retry = plan.spec.retry;
@@ -126,7 +124,6 @@ UnitOutcome compute_with_retries(
       // exists.  `throw` makes this attempt fail (retry / quarantine
       // path); `kill` dies right here (crash-resume path, CI job).
       util::fault::hit("campaign.unit.compute");
-      if (fault_injector) fault_injector(u, attempt);
       out.payload = compute_unit_payload(plan, u, tech, settings);
       succeeded = true;
       break;

@@ -1,17 +1,16 @@
-// Shared per-unit execution and report layer of the campaign subsystem.
+// Per-unit execution and report layer of the campaign subsystem.
 //
-// Two executors drive campaign work-unit DAGs: the single-process
-// CampaignRunner (runner.hpp, `dramstress campaign run`) and the service
-// Scheduler (scheduler.hpp, `dramstress serve`) which multiplexes many
-// campaigns over one worker pool.  Their headline contract is shared too:
-// report.json must come out byte-identical whichever executor produced it,
-// at any thread/worker count, across kill-and-resume.  The way to keep
-// that true is to have exactly one implementation of everything the bytes
-// depend on -- the unit computation, the retry/continuation loop, the
-// payload wrapper and the report serialization -- and this header is it.
+// The service Scheduler (scheduler.hpp) is the one executor of campaign
+// work-unit DAGs: `dramstress serve` multiplexes many campaigns over its
+// worker pool, and `dramstress campaign run` (CampaignRunner, runner.hpp)
+// is a single in-process Scheduler session.  The headline contract --
+// report.json byte-identical at any worker count, across kill-and-resume,
+// daemon or CLI -- rests on there being exactly one implementation of
+// everything the bytes depend on: the unit computation, the
+// retry/continuation loop, the payload wrapper and the report
+// serialization.  This header is it.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -64,15 +63,13 @@ bool border_shows_fault(const std::string& payload);
 /// the classic continuation trick for a non-converging operating point.
 /// On success the outcome is Done with the payload; on exhausted attempts
 /// or a blown per-unit timeout it is Quarantined with the last error.
-/// `fault_injector` (may be empty) runs before every attempt; a throw
-/// counts as that attempt failing.  util::fault::Injected from deeper
-/// layers that must abort the whole run (journal tears, kills) is NOT
-/// absorbed here -- it propagates only from hooks outside the attempt
-/// body, so the retry loop stays a pure computation concern.
-UnitOutcome compute_with_retries(
-    const CampaignPlan& plan, const WorkUnit& u,
-    const dram::TechnologyParams& tech,
-    const std::function<void(const WorkUnit&, int attempt)>& fault_injector);
+/// Every attempt passes the `campaign.unit.compute` fault point
+/// (util/fault.hpp); an injected throw counts as that attempt failing.
+/// Faults that must abort the whole run (journal tears, kills) are planted
+/// outside the attempt body, so the retry loop stays a pure computation
+/// concern.
+UnitOutcome compute_with_retries(const CampaignPlan& plan, const WorkUnit& u,
+                                 const dram::TechnologyParams& tech);
 
 /// Serialize report.json: inputs-determined content only (unit ids,
 /// payloads, quarantine reasons -- no timestamps, no attempt counts, no

@@ -64,14 +64,17 @@ Action hit_armed(const char* point) {
   Action pending = Action::None;
   {
     util::MutexLock lock(g_mu);
+    // Every matching entry counts the hit (so `p=throw@1,p=throw@2` fires
+    // on hits 1 and 2); the first entry that is due fires.
+    Entry* due = nullptr;
     for (Entry& e : g_entries) {
       if (e.point != point) continue;
       ++e.hits;
-      if (!e.fired && e.hits >= e.fire_at) {
-        e.fired = true;
-        pending = e.action;
-        break;
-      }
+      if (due == nullptr && !e.fired && e.hits >= e.fire_at) due = &e;
+    }
+    if (due != nullptr) {
+      due->fired = true;
+      pending = due->action;
     }
   }
   switch (pending) {

@@ -26,7 +26,9 @@
 //       corrupt  returned to the caller (ResultCache::store writes a
 //                damaged object and reports success);
 //   * `@N`     fire on the N-th hit of the point (1-based, default 1);
-//              each entry fires exactly once.
+//              each entry fires exactly once.  Entries for the same point
+//              count hits independently, so `p=throw@1,p=throw@2` fails
+//              the first two hits of `p`.
 //
 // Arming is not thread-safe against concurrently running fault points:
 // arm before the workers start, disarm after they join (the tests' and the

@@ -2,8 +2,9 @@
 // cache-key semantics, the content-addressed cache and journal, and the
 // runner's crash/resume, incrementality, retry/quarantine and determinism
 // contracts.  Simulation-heavy cases use the smallest real campaigns
-// (border units of one or two defects); fault paths use the injector hook
-// so they cost no simulation time at all.
+// (border units of one or two defects); fault paths arm util/fault points
+// that fail every attempt before it simulates, so they cost no simulation
+// time at all.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -21,6 +22,7 @@
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
+#include "test_dirs.hpp"
 
 namespace dramstress {
 namespace {
@@ -51,14 +53,9 @@ CampaignPlan plan_of(const CampaignSpec& spec) {
   return campaign::expand(spec, column);
 }
 
-/// A unique fresh directory under the test temp dir.
-std::string fresh_dir(const std::string& hint) {
-  static int counter = 0;
-  const fs::path p = fs::path(::testing::TempDir()) /
-                     ("campaign_" + hint + "_" + std::to_string(counter++));
-  fs::remove_all(p);
-  return p.string();
-}
+using test::ArmedFault;
+using test::failing_computes;
+using test::fresh_dir;
 
 std::string read_file(const std::string& path) {
   std::ifstream f(path);
@@ -242,6 +239,16 @@ TEST(JournalTest, ReplayToleratesTornFinalLine) {
   EXPECT_EQ(entries.at("00000000000000bb").error, "injected divergence");
   EXPECT_TRUE(report.has(Code::CacheCorrupt));
   EXPECT_EQ(report.errors(), 0);
+
+  // Reopening (a resume) ends the torn line, so the next record lands on
+  // a line of its own instead of fusing with the fragment.
+  campaign::Journal reopened(path);
+  reopened.append({"border/B1@a", "00000000000000cc", "done", 1, ""});
+  VerifyReport again;
+  const std::map<std::string, JournalEntry> resumed =
+      campaign::Journal::replay(path, &again);
+  EXPECT_EQ(resumed.size(), 3u);
+  EXPECT_EQ(resumed.count("00000000000000cc"), 1u);
 }
 
 TEST(JournalTest, MissingFileReplaysEmpty) {
@@ -252,19 +259,20 @@ TEST(JournalTest, MissingFileReplaysEmpty) {
   EXPECT_TRUE(report.clean());
 }
 
-// --- runner: fault paths (injector, no simulation) ---------------------
+// --- runner: fault paths (armed fault points, no simulation) -------------
+
+long counter(const char* name) {
+  return obs::metrics_snapshot().counter(name);
+}
 
 TEST(CampaignRunnerTest, QuarantinesPersistentFailureWithoutAborting) {
   CampaignSpec spec = spec_of(kOneUnitSpec);
   spec.retry.max_attempts = 3;
-  RunnerOptions opt;
-  opt.fault_injector = [](const WorkUnit&, int) {
-    throw ConvergenceError("injected divergence");
-  };
+  ArmedFault armed(failing_computes(3));
   obs::reset_metrics();
   const std::string out = fresh_dir("quarantine");
   const CampaignResult r =
-      run_campaign(spec, out, fresh_dir("quarantine_cache"), opt);
+      run_campaign(spec, out, fresh_dir("quarantine_cache"));
 
   EXPECT_EQ(r.quarantined, 1);
   EXPECT_EQ(r.done, 0);
@@ -272,8 +280,7 @@ TEST(CampaignRunnerTest, QuarantinesPersistentFailureWithoutAborting) {
   ASSERT_EQ(r.outcomes.size(), 1u);
   EXPECT_EQ(r.outcomes[0].status, UnitStatus::Quarantined);
   EXPECT_EQ(r.outcomes[0].attempts, 3);
-  EXPECT_NE(r.outcomes[0].error.find("injected divergence"),
-            std::string::npos);
+  EXPECT_NE(r.outcomes[0].error.find("fault injected"), std::string::npos);
 
   const obs::MetricsSnapshot m = obs::metrics_snapshot();
   EXPECT_EQ(m.counter("campaign.unit_quarantined"), 1);
@@ -299,37 +306,35 @@ TEST(CampaignRunnerTest, QuarantinesPersistentFailureWithoutAborting) {
 TEST(CampaignRunnerTest, QuarantineIsRestoredOnResumeWithoutReburning) {
   CampaignSpec spec = spec_of(kOneUnitSpec);
   spec.retry.max_attempts = 2;
-  RunnerOptions opt;
-  int calls = 0;
-  opt.fault_injector = [&calls](const WorkUnit&, int) {
-    ++calls;
-    throw ConvergenceError("injected divergence");
-  };
+  // Exactly two failing computes are armed: any further attempt would
+  // simulate for real and move sim.transients.
+  ArmedFault armed(failing_computes(2));
   const std::string out = fresh_dir("requar");
   const std::string cache = fresh_dir("requar_cache");
-  run_campaign(spec, out, cache, opt);
-  EXPECT_EQ(calls, 2);
+  obs::reset_metrics();
+  run_campaign(spec, out, cache);
+  EXPECT_EQ(counter("campaign.unit_retried"), 1);
+  EXPECT_EQ(counter("sim.transients"), 0);
 
-  RunnerOptions resume = opt;
+  RunnerOptions resume;
   resume.resume = true;
+  obs::reset_metrics();
   const CampaignResult r = run_campaign(spec, out, cache, resume);
-  EXPECT_EQ(calls, 2) << "replayed quarantine must not re-run the unit";
+  EXPECT_EQ(counter("campaign.unit_retried"), 0)
+      << "replayed quarantine must not re-run the unit";
+  EXPECT_EQ(counter("sim.transients"), 0);
   EXPECT_EQ(r.quarantined, 1);
   EXPECT_EQ(r.outcomes[0].attempts, 2);
-  EXPECT_NE(r.outcomes[0].error.find("injected divergence"),
-            std::string::npos);
+  EXPECT_NE(r.outcomes[0].error.find("fault injected"), std::string::npos);
 }
 
 TEST(CampaignRunnerTest, TimeoutStopsRetryingAndQuarantines) {
   CampaignSpec spec = spec_of(kOneUnitSpec);
   spec.retry.max_attempts = 5;
   spec.retry.timeout_s = 1e-9;  // any failed attempt exceeds this
-  RunnerOptions opt;
-  opt.fault_injector = [](const WorkUnit&, int) {
-    throw ConvergenceError("injected divergence");
-  };
-  const CampaignResult r = run_campaign(spec, fresh_dir("timeout"),
-                                        fresh_dir("timeout_cache"), opt);
+  ArmedFault armed(failing_computes(5));
+  const CampaignResult r =
+      run_campaign(spec, fresh_dir("timeout"), fresh_dir("timeout_cache"));
   EXPECT_EQ(r.quarantined, 1);
   EXPECT_EQ(r.outcomes[0].attempts, 1) << "timeout must cut the retry loop";
   EXPECT_NE(r.outcomes[0].error.find("timeout"), std::string::npos);
@@ -344,12 +349,11 @@ TEST(CampaignRunnerTest, SkipsUnitsWhoseDependencyWasQuarantined) {
     "analyses": ["optimize"],
     "retry": {"max_attempts": 1}
   })");
-  RunnerOptions opt;
-  opt.fault_injector = [](const WorkUnit&, int) {
-    throw ConvergenceError("injected divergence");
-  };
-  const CampaignResult r = run_campaign(spec, fresh_dir("dag"),
-                                        fresh_dir("dag_cache"), opt);
+  // Only the border computes (the optimize unit waits on it), so one
+  // failing compute quarantines it.
+  ArmedFault armed(failing_computes(1));
+  const CampaignResult r =
+      run_campaign(spec, fresh_dir("dag"), fresh_dir("dag_cache"));
   ASSERT_EQ(r.outcomes.size(), 2u);
   EXPECT_EQ(r.outcomes[0].status, UnitStatus::Quarantined);
   EXPECT_EQ(r.outcomes[1].status, UnitStatus::Skipped);
@@ -402,12 +406,9 @@ TEST(CampaignRunnerTest, FreshRunRefusesAnExistingJournal) {
 TEST(CampaignRunnerTest, RetryRecoversFromTransientFault) {
   CampaignSpec spec = spec_of(kOneUnitSpec);
   spec.retry.max_attempts = 3;
-  RunnerOptions opt;
-  opt.fault_injector = [](const WorkUnit&, int attempt) {
-    if (attempt == 1) throw ConvergenceError("transient glitch");
-  };
-  const CampaignResult r = run_campaign(spec, fresh_dir("retry"),
-                                        fresh_dir("retry_cache"), opt);
+  ArmedFault armed(failing_computes(1));
+  const CampaignResult r =
+      run_campaign(spec, fresh_dir("retry"), fresh_dir("retry_cache"));
   EXPECT_EQ(r.done, 1);
   EXPECT_EQ(r.retried, 1);
   EXPECT_EQ(r.quarantined, 0);
@@ -443,23 +444,27 @@ TEST(CampaignRunnerTest, KillAndResumeMatchesUninterruptedByteForByte) {
       spec, fresh_dir("kill_base"), fresh_dir("kill_base_cache"));
   EXPECT_EQ(baseline.done, 2);
 
-  // Crash after the first computed unit is journaled.
+  // Crash mid-run: the second journal record is torn half-written, which
+  // fails the session the way a kill during the write would.
   const std::string out = fresh_dir("kill_run");
   const std::string cache = fresh_dir("kill_cache");
-  RunnerOptions crash;
-  crash.stop_after_units = 1;
-  EXPECT_THROW(run_campaign(spec, out, cache, crash),
-               campaign::CampaignInterrupted);
+  {
+    ArmedFault armed("campaign.journal.append=tear@2");
+    EXPECT_THROW(run_campaign(spec, out, cache), ModelError);
+  }
   const int journaled = count_lines(out + "/journal.jsonl");
   EXPECT_GE(journaled, 1);
+  EXPECT_FALSE(fs::exists(out + "/report.json"));
 
   // Resume: finished units come from the cache, the rest is computed, and
   // the final report matches the uninterrupted one byte for byte.
   RunnerOptions resume;
   resume.resume = true;
   const CampaignResult resumed = run_campaign(spec, out, cache, resume);
-  EXPECT_GE(resumed.cached, journaled);
+  EXPECT_GE(resumed.cached, 1);
   EXPECT_EQ(resumed.cached + resumed.done, 2);
+  EXPECT_TRUE(resumed.diagnostics.has(Code::CacheCorrupt))
+      << "the torn record must be reported";
   EXPECT_EQ(read_file(baseline.report_path),
             read_file(resumed.report_path));
 

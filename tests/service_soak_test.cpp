@@ -1,4 +1,4 @@
-// Concurrency soak of the campaign service (ISSUE 10 satellite 3).
+// Concurrency soak of the campaign service.
 //
 // Many concurrent clients hammer one scheduler / one live daemon with
 // overlapping campaign specs.  Two properties must hold at any worker and
@@ -30,6 +30,7 @@
 #include "service/server.hpp"
 #include "util/json.hpp"
 #include "verify/diagnostic.hpp"
+#include "test_dirs.hpp"
 
 namespace dramstress {
 namespace {
@@ -54,14 +55,7 @@ CampaignPlan plan_of(const CampaignSpec& spec) {
   return campaign::expand(spec, column);
 }
 
-std::string fresh_dir(const std::string& hint) {
-  static int counter = 0;
-  const fs::path p = fs::path(::testing::TempDir()) /
-                     ("soak_" + hint + "_" + std::to_string(counter++));
-  fs::remove_all(p);
-  fs::create_directories(p);
-  return p.string();
-}
+using test::fresh_dir;
 
 std::string read_file(const std::string& path) {
   std::ifstream f(path);
@@ -90,14 +84,16 @@ std::vector<std::string> spec_pool() {
   return specs;
 }
 
-/// Serial single-process baseline report bytes, one per pool spec.
+/// Serial (one-worker) `campaign run` report bytes, one per pool spec.
 std::vector<std::string> baselines(const std::vector<std::string>& specs) {
+  campaign::RunnerOptions serial;
+  serial.threads = 1;
   std::vector<std::string> out;
   for (const std::string& text : specs) {
     campaign::CampaignRunner runner(plan_of(spec_of(text)),
                                     dram::default_technology(),
                                     fresh_dir("baseline"),
-                                    fresh_dir("baseline_cache"), {});
+                                    fresh_dir("baseline_cache"), serial);
     out.push_back(read_file(runner.run().report_path));
   }
   return out;

@@ -1,5 +1,5 @@
 // Fault-injection harness + shared-cache + scheduler tests of the
-// campaign service (ISSUE 10 satellite 1).
+// campaign service.
 //
 // The service's resilience claims are exercised by *causing* each failure
 // through util/fault (docs/SERVICE.md): a computation that throws mid-
@@ -20,9 +20,11 @@
 #include "campaign/spec.hpp"
 #include "dram/column.hpp"
 #include "dram/technology.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "verify/diagnostic.hpp"
+#include "test_dirs.hpp"
 
 namespace dramstress {
 namespace {
@@ -50,14 +52,9 @@ CampaignPlan plan_of(const CampaignSpec& spec) {
   return campaign::expand(spec, column);
 }
 
-std::string fresh_dir(const std::string& hint) {
-  static int counter = 0;
-  const fs::path p = fs::path(::testing::TempDir()) /
-                     ("service_" + hint + "_" + std::to_string(counter++));
-  fs::remove_all(p);
-  fs::create_directories(p);
-  return p.string();
-}
+using test::ArmedFault;
+using test::failing_computes;
+using test::fresh_dir;
 
 std::string read_file(const std::string& path) {
   std::ifstream f(path);
@@ -83,20 +80,17 @@ const char* kTwoUnitSpec = R"({
               "tcyc": 60e-9, "duty": 0.5}]
 })";
 
-/// Serial single-process baseline: the bytes every service run must hit.
+/// Serial (one-worker) `campaign run` baseline: the bytes every service
+/// run must hit.
 std::string baseline_report(const char* spec_text) {
-  const std::string out = fresh_dir("baseline");
+  campaign::RunnerOptions serial;
+  serial.threads = 1;
   campaign::CampaignRunner runner(plan_of(spec_of(spec_text)),
-                                  dram::default_technology(), out,
-                                  fresh_dir("baseline_cache"), {});
+                                  dram::default_technology(),
+                                  fresh_dir("baseline"),
+                                  fresh_dir("baseline_cache"), serial);
   return read_file(runner.run().report_path);
 }
-
-/// RAII disarm so a failing test never leaks an armed fault into the next.
-struct ArmedFault {
-  explicit ArmedFault(const std::string& spec) { util::fault::arm(spec); }
-  ~ArmedFault() { util::fault::disarm(); }
-};
 
 // --- util/fault itself -------------------------------------------------
 
@@ -122,6 +116,16 @@ TEST(FaultTest, MultipleEntriesAreIndependent) {
   EXPECT_EQ(util::fault::hit("b"), util::fault::Action::Corrupt);
   EXPECT_EQ(util::fault::hit("a"), util::fault::Action::Tear);
   EXPECT_EQ(util::fault::hit("a"), util::fault::Action::None);
+}
+
+TEST(FaultTest, EntriesOfOnePointCountEveryHit) {
+  // Each entry counts every hit of its point, so consecutive @N entries
+  // fail consecutive hits (a later entry must not miss the hit an earlier
+  // one fired on).
+  ArmedFault armed("p=throw@1,p=throw@2");
+  EXPECT_THROW(util::fault::hit("p"), util::fault::Injected);
+  EXPECT_THROW(util::fault::hit("p"), util::fault::Injected);
+  EXPECT_EQ(util::fault::hit("p"), util::fault::Action::None);
 }
 
 TEST(FaultTest, MalformedSpecsThrowModelError) {
@@ -247,38 +251,41 @@ TEST(SchedulerFaultTest, ThrowingUnitIsRetriedThenDone) {
   SharedCache cache(fresh_dir("cache"));
   SchedulerOptions opt;
   opt.workers = 2;
-  int attempts_seen = 0;
-  opt.fault_injector = [&attempts_seen](const campaign::WorkUnit&,
-                                        int attempt) {
-    ++attempts_seen;
-    if (attempt == 1) throw ModelError("injected first-attempt failure");
-  };
-  Scheduler sched(dram::default_technology(), &cache, opt);
-  const SessionStatus st =
-      run_session(&sched, kOneUnitSpec, fresh_dir("run"));
+  SessionStatus st;
+  {
+    ArmedFault armed(failing_computes(1));
+    Scheduler sched(dram::default_technology(), &cache, opt);
+    obs::reset_metrics();
+    st = run_session(&sched, kOneUnitSpec, fresh_dir("run"));
+  }
+  const obs::MetricsSnapshot m = obs::metrics_snapshot();
   EXPECT_EQ(st.state, "finished");
   EXPECT_EQ(st.done, 1);
   EXPECT_EQ(st.retried, 1);
-  EXPECT_EQ(attempts_seen, 2);
+  EXPECT_EQ(m.counter("campaign.unit_retried"), 1);
+  EXPECT_GT(m.counter("sim.transients"), 0) << "the retry must simulate";
   EXPECT_EQ(read_file(st.report_path), baseline_report(kOneUnitSpec));
 }
 
 TEST(SchedulerFaultTest, ExhaustedRetriesQuarantineWithoutSinkingTheRun) {
   SharedCache cache(fresh_dir("cache"));
+  // One worker takes the units in index order: every attempt of the
+  // first (O3) unit fails, then the second (Sg) computes unharmed.
   SchedulerOptions opt;
-  opt.workers = 2;
-  opt.fault_injector = [](const campaign::WorkUnit& u, int) {
-    if (u.id.find("O3") != std::string::npos)
-      throw ModelError("injected permanent failure");
-  };
+  opt.workers = 1;
+  CampaignPlan plan = plan_of(spec_of(kTwoUnitSpec));
+  ASSERT_NE(plan.units[0].id.find("O3"), std::string::npos);
+  ArmedFault armed(failing_computes(plan.spec.retry.max_attempts));
   Scheduler sched(dram::default_technology(), &cache, opt);
-  const SessionStatus st =
-      run_session(&sched, kTwoUnitSpec, fresh_dir("run"));
+  sched.submit("tester", std::move(plan), fresh_dir("run"), "s1");
+  ASSERT_TRUE(sched.wait_finished("s1", 300.0));
+  const SessionStatus st = sched.session("s1").value();
   EXPECT_EQ(st.state, "finished");
   EXPECT_EQ(st.quarantined, 1);
   EXPECT_EQ(st.done, 1);  // the healthy unit still completed
-  EXPECT_NE(read_file(st.failure_report_path).find("injected permanent"),
-            std::string::npos);
+  const std::string failures = read_file(st.failure_report_path);
+  EXPECT_NE(failures.find("border/O3"), std::string::npos);
+  EXPECT_NE(failures.find("fault injected"), std::string::npos);
 }
 
 TEST(SchedulerFaultTest, TornJournalFailsSessionThenResumesByteIdentical) {

@@ -5,7 +5,6 @@
 // contract (--no-surrogate reproduces the classic path including its
 // transient count), and thread-count determinism of a surrogate campaign.
 #include <cmath>
-#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -24,11 +23,11 @@
 #include "stress/stress.hpp"
 #include "util/json.hpp"
 #include "verify/diagnostic.hpp"
+#include "test_dirs.hpp"
 
 namespace dramstress {
 namespace {
 
-namespace fs = std::filesystem;
 using analysis::BorderOptions;
 using analysis::BorderResult;
 using analysis::MarginProbe;
@@ -206,13 +205,7 @@ TEST(SurrogateAnalyzeTest, OffSwitchReproducesClassicPathExactly) {
 
 // --- campaign integration ------------------------------------------------
 
-std::string fresh_dir(const std::string& hint) {
-  static int counter = 0;
-  const fs::path p = fs::path(::testing::TempDir()) /
-                     ("surrogate_" + hint + "_" + std::to_string(counter++));
-  fs::remove_all(p);
-  return p.string();
-}
+using test::fresh_dir;
 
 std::string read_file(const std::string& path) {
   std::ifstream f(path);

@@ -15,6 +15,7 @@
 #include "util/parallel.hpp"
 #include "util/strings.hpp"
 #include "util/units.hpp"
+#include "test_dirs.hpp"
 
 namespace du = dramstress::util;
 namespace units = dramstress::units;
@@ -77,7 +78,7 @@ TEST(Csv, RowSizeMismatchThrows) {
 TEST(Csv, WritesFile) {
   du::CsvTable t({"a"});
   t.add_row({7.0});
-  const std::string path = ::testing::TempDir() + "/ds_csv_test.csv";
+  const std::string path = dramstress::test::fresh_dir("csv") + "/ds_csv_test.csv";
   t.write_file(path);
   std::ifstream in(path);
   std::stringstream ss;

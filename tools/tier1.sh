@@ -13,7 +13,7 @@ skip_tsan=0
 echo "=== tier-1: standard build + full ctest ==="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DDRAMSTRESS_WERROR=ON
 cmake --build build -j
-ctest --test-dir build --output-on-failure -j"$(nproc)"
+ctest --test-dir build --output-on-failure -j"$(nproc)" --schedule-random
 
 echo "=== tier-1: static netlist verification gate ==="
 # The shipped column and every defect placeholder must lint clean, with
