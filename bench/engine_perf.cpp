@@ -191,10 +191,11 @@ SweepTiming time_plane_set(const analysis::PlaneOptions& opt,
 
 /// Time generate_plane_set single-threaded under one engine configuration
 /// (the Fig. 2 plane workload with only the transient engine varying).
-/// `batch` > 0 selects the ensemble engine with that many lanes per solve.
-SweepTiming time_plane_engine_once(const analysis::PlaneOptions& opt,
-                                   const dram::SimSettings& settings,
-                                   int batch = 0) {
+/// `batch` >= 1 selects the ensemble engine with that many lanes per solve;
+/// the default times the scalar reference sweep.
+SweepTiming time_plane_engine_once(
+    const analysis::PlaneOptions& opt, const dram::SimSettings& settings,
+    int batch = analysis::PlaneOptions::kScalarReference) {
   dram::DramColumn column;
   const defect::Defect d{defect::DefectKind::O3, dram::Side::True};
   dram::ColumnSimulator sim(column, stress::nominal_condition(), settings);
@@ -530,7 +531,10 @@ void write_json(const std::string& path, const analysis::PlaneOptions& opt,
 }  // namespace
 
 int main(int argc, char** argv) {
-  analysis::PlaneOptions opt;  // default PlaneOptions: the acceptance grid
+  // The acceptance grid on the scalar reference sweep: every rung but the
+  // ensemble one times the scalar engine its name describes.
+  analysis::PlaneOptions opt;
+  opt.batch = analysis::PlaneOptions::kScalarReference;
   int threads = 0;             // 0 = util::default_threads()
   int batch = 12;              // ensemble-rung lane count (measured best)
   int reps = 2;                // best-of-N per ladder rung

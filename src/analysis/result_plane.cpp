@@ -159,12 +159,23 @@ void sweep_points_batched(ResultPlane& plane, const defect::Defect& d,
 
 }  // namespace
 
+int auto_lanes(int n_points, int workers) {
+  require(n_points >= 1 && workers >= 1,
+          "auto_lanes: need >= 1 point and >= 1 worker");
+  const int cap = PlaneOptions::kAutoLaneCap;
+  const int batches =
+      std::max(std::min(workers, n_points), (n_points + cap - 1) / cap);
+  return (n_points + batches - 1) / batches;
+}
+
 ResultPlane generate_plane(dram::DramColumn& column, const defect::Defect& d,
                            const dram::ColumnSimulator& sim, OpKind op,
                            const PlaneOptions& opt) {
   OBS_SPAN("plane.generate");
   require(opt.num_r_points >= 2, "result plane: need >= 2 R points");
   require(opt.ops_per_point >= 1, "result plane: need >= 1 op");
+  require(opt.batch >= 0 || opt.batch == PlaneOptions::kScalarReference,
+          "result plane: batch must be >= 0 or kScalarReference");
   const double vdd = sim.conditions().vdd;
 
   ResultPlane plane;
@@ -194,10 +205,15 @@ ResultPlane generate_plane(dram::DramColumn& column, const defect::Defect& d,
   const dram::OperatingConditions cond = sim.conditions();
   const dram::SimSettings settings = sim.settings();
   const double r_init = plane.r_values.front();
-  const int batch = util::resolve_batch(opt.batch);
-  if (batch >= 1) {
+  // The ensemble engine is the plane-sweep engine; the scalar per-point
+  // sweep below is the reference, and the only one fixed stepping has.
+  if (opt.batch != PlaneOptions::kScalarReference && settings.adaptive) {
+    const int lanes =
+        opt.batch >= 1
+            ? opt.batch
+            : auto_lanes(opt.num_r_points, util::resolve_threads(opt.threads));
     sweep_points_batched(plane, d, tech, cond, settings, op, opt,
-                         static_cast<size_t>(batch));
+                         static_cast<size_t>(lanes));
     return plane;
   }
   util::parallel_for_state(

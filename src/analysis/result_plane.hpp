@@ -34,17 +34,29 @@ struct PlaneOptions {
   /// Worker threads for the R sweep; 0 = util::default_threads().  Results
   /// are bit-identical for every thread count.
   int threads = 0;
-  /// Ensemble batch: lanes simulated together per worker.  0 consults
-  /// util::resolve_batch (the --batch flag / DRAMSTRESS_BATCH variable,
-  /// default scalar engine).  Any batch size >= 1 uses the batched engine
-  /// and produces bit-identical results for every batch size and thread
-  /// count; batched results may differ from the scalar engine's within the
-  /// documented solver tolerances (docs/ENGINE.md).
+  /// Lanes per batch of the ensemble engine, which sweeps the plane in
+  /// R-major batches.  0 = auto (auto_lanes); N >= 1 = N lanes per batch;
+  /// kScalarReference = the scalar per-point sweep instead.  Fixed-step
+  /// settings (SimSettings::adaptive = false) always take the scalar sweep,
+  /// because the ensemble engine steps adaptively only.  Ensemble results
+  /// are bit-identical for every lane count and thread count; they may
+  /// differ from the scalar sweep's within the documented solver
+  /// tolerances (docs/ENGINE.md).
   int batch = 0;
+  static constexpr int kScalarReference = -1;
+  /// Widest batch auto sizing forms.  One 15-lane batch beats 8 + 7 and
+  /// 12 + 3 on one thread (docs/ENGINE.md), so the default grid is never
+  /// split just to respect the cap.
+  static constexpr int kAutoLaneCap = 16;
   /// Optional Vsa(R) memoization shared across planes of the same defect
   /// and corner (generate_plane_set supplies one automatically).
   VsaCache* vsa_cache = nullptr;
 };
+
+/// Auto lane count: the fewest R-major batches that give each of `workers`
+/// one, each at most PlaneOptions::kAutoLaneCap lanes, split evenly (15
+/// points: 1 batch of 15 on one worker, 8 + 7 on two, 4 + 4 + 4 + 3 on four).
+int auto_lanes(int n_points, int workers);
 
 /// One curve of the plane: Vc after the (op_number)-th operation vs R.
 struct PlaneCurve {

@@ -193,7 +193,7 @@ std::vector<VsaResult> extract_vsa_batch(dram::EnsembleColumnSim& sim,
                                          const VsaOptions& opt,
                                          const std::vector<char>& active,
                                          VsaSeed* seed) {
-  OBS_SPAN("vsa.extract_batch");
+  OBS_SPAN("vsa.extract");
   const size_t nlanes = sim.num_lanes();
   std::vector<char> act = active;
   if (act.empty()) act.assign(nlanes, 1);

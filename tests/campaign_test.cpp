@@ -436,6 +436,31 @@ TEST(CampaignRunnerTest, SecondRunIsFullyCachedAndByteIdentical) {
   EXPECT_EQ(read_file(first.report_path), read_file(second.report_path));
 }
 
+TEST(CampaignRunnerTest, FixedStepPlanesUnitFinishes) {
+  // Fixed stepping sweeps planes on the scalar engine (the ensemble engine
+  // is adaptive-only): the unit must compute, not burn its retries.
+  const CampaignSpec spec = spec_of(R"({
+    "name": "fixed-planes",
+    "defects": ["o3"],
+    "points": [{"name": "nominal", "vdd": 2.4, "temp_c": 27.0,
+                "tcyc": 60e-9, "duty": 0.5}],
+    "analyses": ["planes"],
+    "planes": {"r_points": 3, "ops_per_point": 1},
+    "settings": {"adaptive": false}
+  })");
+  RunnerOptions one;
+  one.threads = 1;
+  const CampaignResult r =
+      run_campaign(spec, fresh_dir("fixed_planes"),
+                   fresh_dir("fixed_planes_cache"), one);
+  ASSERT_EQ(r.outcomes.size(), 1u);
+  EXPECT_EQ(r.outcomes[0].status, UnitStatus::Done) << r.outcomes[0].error;
+  EXPECT_EQ(r.outcomes[0].attempts, 1);
+  EXPECT_EQ(r.done, 1);
+  EXPECT_EQ(r.quarantined, 0);
+  EXPECT_NE(r.outcomes[0].payload.find("\"w0\""), std::string::npos);
+}
+
 TEST(CampaignRunnerTest, KillAndResumeMatchesUninterruptedByteForByte) {
   const CampaignSpec spec = spec_of(kTwoUnitSpec);
 

@@ -40,25 +40,35 @@ void expect_identical(const analysis::ResultPlane& a,
   }
 }
 
+// Both plane-sweep engines: the default ensemble sweep (auto lanes) and the
+// scalar reference sweep, which fixed stepping also takes.
+constexpr int kPlaneEngines[] = {0, analysis::PlaneOptions::kScalarReference};
+
 }  // namespace
 
 TEST(Determinism, PlaneSetIdenticalAcrossThreadCounts) {
   const Defect d{DefectKind::O3, Side::True};
   analysis::PlaneOptions opt = small_plane_options();
+  for (const int batch : kPlaneEngines) {
+    SCOPED_TRACE(batch);
+    opt.batch = batch;
 
-  dram::DramColumn col1;
-  dram::ColumnSimulator sim1(col1, stress::nominal_condition());
-  opt.threads = 1;
-  const analysis::PlaneSet one = analysis::generate_plane_set(col1, d, sim1, opt);
+    dram::DramColumn col1;
+    dram::ColumnSimulator sim1(col1, stress::nominal_condition());
+    opt.threads = 1;
+    const analysis::PlaneSet one =
+        analysis::generate_plane_set(col1, d, sim1, opt);
 
-  dram::DramColumn col4;
-  dram::ColumnSimulator sim4(col4, stress::nominal_condition());
-  opt.threads = 4;
-  const analysis::PlaneSet four = analysis::generate_plane_set(col4, d, sim4, opt);
+    dram::DramColumn col4;
+    dram::ColumnSimulator sim4(col4, stress::nominal_condition());
+    opt.threads = 4;
+    const analysis::PlaneSet four =
+        analysis::generate_plane_set(col4, d, sim4, opt);
 
-  expect_identical(one.w0, four.w0);
-  expect_identical(one.w1, four.w1);
-  expect_identical(one.r, four.r);
+    expect_identical(one.w0, four.w0);
+    expect_identical(one.w1, four.w1);
+    expect_identical(one.r, four.r);
+  }
 }
 
 TEST(Determinism, VsaCacheHitMatchesUncachedExtraction) {
@@ -89,21 +99,25 @@ TEST(Determinism, PlaneSetWithCacheMatchesCachelessPlanes) {
   // generate_plane_set memoizes Vsa across its three planes; the planes it
   // returns must match three independent uncached generate_plane calls.
   const Defect d{DefectKind::O3, Side::True};
-  const analysis::PlaneOptions opt = small_plane_options();
+  analysis::PlaneOptions opt = small_plane_options();
+  for (const int batch : kPlaneEngines) {
+    SCOPED_TRACE(batch);
+    opt.batch = batch;
 
-  dram::DramColumn col_set;
-  dram::ColumnSimulator sim_set(col_set, stress::nominal_condition());
-  const analysis::PlaneSet set =
-      analysis::generate_plane_set(col_set, d, sim_set, opt);
+    dram::DramColumn col_set;
+    dram::ColumnSimulator sim_set(col_set, stress::nominal_condition());
+    const analysis::PlaneSet set =
+        analysis::generate_plane_set(col_set, d, sim_set, opt);
 
-  dram::DramColumn col;
-  dram::ColumnSimulator sim(col, stress::nominal_condition());
-  expect_identical(set.w0,
-                   analysis::generate_plane(col, d, sim, dram::OpKind::W0, opt));
-  expect_identical(set.w1,
-                   analysis::generate_plane(col, d, sim, dram::OpKind::W1, opt));
-  expect_identical(set.r,
-                   analysis::generate_plane(col, d, sim, dram::OpKind::R, opt));
+    dram::DramColumn col;
+    dram::ColumnSimulator sim(col, stress::nominal_condition());
+    expect_identical(
+        set.w0, analysis::generate_plane(col, d, sim, dram::OpKind::W0, opt));
+    expect_identical(
+        set.w1, analysis::generate_plane(col, d, sim, dram::OpKind::W1, opt));
+    expect_identical(
+        set.r, analysis::generate_plane(col, d, sim, dram::OpKind::R, opt));
+  }
 }
 
 TEST(Determinism, ShmooIdenticalAcrossThreadCounts) {

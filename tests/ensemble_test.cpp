@@ -1,7 +1,9 @@
 // Contract of the batched ensemble engine (docs/ENGINE.md):
-//  * every plane is bit-identical for every batch size >= 1 and every
-//    thread count -- each lane's trajectory is a pure function of its own
-//    inputs, never of its batch neighbours;
+//  * every plane is bit-identical for every batch size >= 1, for the auto
+//    lane count and for every thread count -- each lane's trajectory is a
+//    pure function of its own inputs, never of its batch neighbours;
+//  * default PlaneOptions run the ensemble engine; fixed stepping and
+//    kScalarReference run the scalar per-point sweep;
 //  * the ensemble engine tracks the scalar adaptive engine within the
 //    solver tolerances (they share semantics but not roundoff: the
 //    ensemble adds chord factorization reuse and a fused MOSFET path);
@@ -26,7 +28,10 @@
 #include "dram/column.hpp"
 #include "dram/column_sim.hpp"
 #include "dram/ensemble_column.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "stress/stress.hpp"
+#include "util/error.hpp"
 
 namespace dramstress {
 namespace {
@@ -44,9 +49,10 @@ analysis::PlaneOptions small_plane_options() {
   return opt;
 }
 
-analysis::PlaneSet plane_set_with(const analysis::PlaneOptions& opt) {
+analysis::PlaneSet plane_set_with(const analysis::PlaneOptions& opt,
+                                  const dram::SimSettings& settings = {}) {
   dram::DramColumn col;
-  dram::ColumnSimulator sim(col, stress::nominal_condition());
+  dram::ColumnSimulator sim(col, stress::nominal_condition(), settings);
   const Defect d{DefectKind::O3, Side::True};
   return analysis::generate_plane_set(col, d, sim, opt);
 }
@@ -93,10 +99,67 @@ TEST(Ensemble, PlaneSetIdenticalAcrossThreadCounts) {
   expect_identical(one, four);
 }
 
+TEST(Ensemble, AutoLanesSplitTheGridEvenlyOverTheWorkers) {
+  // Fewest batches that give every worker one, none wider than the cap.
+  EXPECT_EQ(analysis::auto_lanes(15, 1), 15);
+  EXPECT_EQ(analysis::auto_lanes(15, 2), 8);
+  EXPECT_EQ(analysis::auto_lanes(15, 4), 4);
+  EXPECT_EQ(analysis::auto_lanes(4, 8), 1);
+  EXPECT_EQ(analysis::auto_lanes(32, 1), 16);
+  EXPECT_EQ(analysis::auto_lanes(33, 1), 11);
+  EXPECT_THROW(analysis::auto_lanes(0, 1), ModelError);
+}
+
+TEST(Ensemble, AutoLanesIdenticalToExplicitLanesAtEveryThreadCount) {
+  analysis::PlaneOptions opt = small_plane_options();
+  opt.threads = 1;
+  opt.batch = 1;
+  const analysis::PlaneSet one_lane = plane_set_with(opt);
+  opt.batch = 16;
+  const analysis::PlaneSet sixteen = plane_set_with(opt);
+  expect_identical(one_lane, sixteen);
+  opt.batch = 0;  // auto: 4 lanes on 1 thread, 2 on 2, 1 on 4
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    opt.threads = threads;
+    expect_identical(one_lane, plane_set_with(opt));
+  }
+}
+
+TEST(Ensemble, DefaultOptionsRunTheEnsembleEngine) {
+  if (!obs::compiled_in()) GTEST_SKIP() << "observability compiled out";
+  obs::reset_metrics();
+  obs::reset_spans();
+  plane_set_with(small_plane_options());
+  EXPECT_GT(obs::metrics_snapshot().counter("ensemble.runs"), 0);
+  // plane.point is the scalar sweep's per-point span.
+  const auto has_point_span = [](const auto& self,
+                                 const obs::SpanSnapshot& s) -> bool {
+    if (s.name == "plane.point") return true;
+    for (const obs::SpanSnapshot& c : s.children)
+      if (self(self, c)) return true;
+    return false;
+  };
+  for (const obs::SpanSnapshot& root : obs::spans_snapshot())
+    EXPECT_FALSE(has_point_span(has_point_span, root)) << root.name;
+}
+
+TEST(Ensemble, FixedSteppingTakesTheScalarSweep) {
+  // The ensemble engine steps adaptively only: default options under fixed
+  // stepping must produce the scalar reference sweep, byte for byte.
+  dram::SimSettings fixed;
+  fixed.adaptive = false;
+  analysis::PlaneOptions opt = small_plane_options();
+  opt.threads = 1;
+  const analysis::PlaneSet by_default = plane_set_with(opt, fixed);
+  opt.batch = analysis::PlaneOptions::kScalarReference;
+  expect_identical(by_default, plane_set_with(opt, fixed));
+}
+
 TEST(Ensemble, MatchesScalarEngineWithinTolerance) {
   analysis::PlaneOptions opt = small_plane_options();
   opt.threads = 1;
-  opt.batch = 0;  // scalar engine (assuming DRAMSTRESS_BATCH is unset)
+  opt.batch = analysis::PlaneOptions::kScalarReference;
   const analysis::PlaneSet scalar = plane_set_with(opt);
   opt.batch = 4;
   const analysis::PlaneSet batched = plane_set_with(opt);

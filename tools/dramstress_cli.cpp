@@ -14,14 +14,15 @@
 // --threads N caps the sweep worker pool (default: DRAMSTRESS_THREADS or
 // all hardware threads); results are identical for every thread count.
 //
-// --batch N routes plane sweeps through the batched ensemble engine with N
-// lanes per solve (default: DRAMSTRESS_BATCH, else the scalar engine);
-// results are identical for every batch size >= 1.
+// Plane sweeps run on the batched ensemble engine, with the lanes per
+// batch sized from the grid and the worker pool; results are identical for
+// every lane count.
 //
 // --adaptive / --no-adaptive selects LTE-controlled vs fixed time stepping
-// (default: adaptive); --lte-tol X sets the relative LTE tolerance of the
-// adaptive engine (default 5e-4; tighter tracks the fixed-step reference
-// closer at the cost of more steps).
+// (default: adaptive; fixed stepping sweeps planes on the scalar engine);
+// --lte-tol X sets the relative LTE tolerance of the adaptive engine
+// (default 5e-4; tighter tracks the fixed-step reference closer at the
+// cost of more steps).
 //
 // --surrogate / --no-surrogate switches the surrogate-accelerated border
 // search (docs/ANALYSIS.md) on or off process-wide (default: on;
@@ -45,6 +46,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -75,8 +77,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: dramstress "
                "<analyze|optimize|report|table1|ffm|planes|check-manifest>\n"
-               "                  [defect] [side] [R|file] [--threads N] "
-               "[--batch N]\n"
+               "                  [defect] [side] [R|file] [--threads N]\n"
                "                  [--adaptive|--no-adaptive] [--lte-tol X] "
                "[--verify[=strict]]\n"
                "                  [--surrogate|--no-surrogate] "
@@ -125,11 +126,10 @@ struct EngineFlags {
   }
 };
 
-/// Strip --threads[=| ]N, --batch[=| ]N, --adaptive/--no-adaptive,
-/// --lte-tol[=| ]X, --surrogate/--no-surrogate and --surrogate-tol[=| ]X
-/// from argv, applying them to the sweep pool / ensemble default / the
-/// surrogate process defaults / `flags`.  Returns the remaining positional
-/// arguments; false on a malformed flag.
+/// Strip --threads[=| ]N, --adaptive/--no-adaptive, --lte-tol[=| ]X,
+/// --surrogate/--no-surrogate and --surrogate-tol[=| ]X from argv, applying
+/// them to the sweep pool / the surrogate process defaults / `flags`.
+/// Returns the remaining positional arguments; false on a malformed flag.
 bool extract_flags(int argc, char** argv, std::vector<char*>* args,
                    EngineFlags* flags) {
   for (int i = 0; i < argc; ++i) {
@@ -138,7 +138,6 @@ bool extract_flags(int argc, char** argv, std::vector<char*>* args,
     bool is_tol = false;
     bool is_surrogate_tol = false;
     bool is_r_points = false;
-    bool is_batch = false;
     std::string* path = nullptr;
     if (std::strcmp(a, "--adaptive") == 0) {
       flags->adaptive = true;
@@ -208,13 +207,6 @@ bool extract_flags(int argc, char** argv, std::vector<char*>* args,
     } else if (std::strcmp(a, "--threads") == 0) {
       if (i + 1 >= argc) return false;
       value = argv[++i];
-    } else if (std::strncmp(a, "--batch=", 8) == 0) {
-      value = a + 8;
-      is_batch = true;
-    } else if (std::strcmp(a, "--batch") == 0) {
-      if (i + 1 >= argc) return false;
-      value = argv[++i];
-      is_batch = true;
     } else {
       args->push_back(argv[i]);
       continue;
@@ -233,10 +225,6 @@ bool extract_flags(int argc, char** argv, std::vector<char*>* args,
       const long n = std::strtol(value, &end, 10);
       if (end == value || *end != '\0' || n < 2) return false;
       flags->r_points = static_cast<int>(n);
-    } else if (is_batch) {
-      const long n = std::strtol(value, &end, 10);
-      if (end == value || *end != '\0' || n < 1 || n > 1024) return false;
-      util::set_default_batch(static_cast<int>(n));
     } else {
       const long n = std::strtol(value, &end, 10);
       if (end == value || *end != '\0' || n < 1) return false;
@@ -282,7 +270,6 @@ obs::ManifestInfo make_manifest_info(const EngineFlags& eng,
   info.tool = "dramstress";
   info.command = cmdline;
   info.settings_number["threads"] = util::resolve_threads(0);
-  info.settings_number["batch"] = util::resolve_batch(0);
   info.settings_flag["adaptive"] = eng.adaptive;
   info.settings_number["lte_tol"] = eng.lte_tol;
   info.settings_text["solver_backend"] = "auto";
@@ -761,18 +748,27 @@ int run_command(const std::string& cmd, int argc, char** argv,
                               flow.options().settings);
     const analysis::PlaneSet set =
         analysis::generate_plane_set(flow.column(), d, sim, popt);
-    auto summarize = [](const char* name, const analysis::ResultPlane& p) {
+    bool finite = true;
+    auto summarize = [&finite](const char* name,
+                               const analysis::ResultPlane& p) {
       double vsa_lo = p.vsa.front(), vsa_hi = p.vsa.front();
       for (const double v : p.vsa) {
         vsa_lo = std::min(vsa_lo, v);
         vsa_hi = std::max(vsa_hi, v);
+        finite = finite && std::isfinite(v);
       }
+      for (const analysis::PlaneCurve& c : p.curves)
+        for (const double v : c.vc) finite = finite && std::isfinite(v);
       std::printf("%s plane: %zu R points x %zu curves, Vsa in [%.3f, %.3f] V\n",
                   name, p.r_values.size(), p.curves.size(), vsa_lo, vsa_hi);
     };
     summarize("w0", set.w0);
     summarize("w1", set.w1);
     summarize("r", set.r);
+    if (!finite) {
+      std::fprintf(stderr, "error: a result plane holds a non-finite value\n");
+      return 1;
+    }
     return 0;
   }
   return usage();
@@ -813,6 +809,14 @@ int main(int raw_argc, char** raw_argv) {
                cmd == "status" || cmd == "shutdown") {
       rc = run_service_verb(cmd, argc, argv);
     } else {
+      // Every option of these commands is stripped above, so an argument
+      // left that starts with "--" names no option.
+      for (int i = 2; i < argc; ++i) {
+        if (std::strncmp(argv[i], "--", 2) == 0) {
+          std::fprintf(stderr, "error: unknown option %s\n", argv[i]);
+          return usage();
+        }
+      }
       defect::Defect d{defect::DefectKind::O3, dram::Side::True};
       if (argc > 2 && !parse_defect(argv[2], &d.kind) && cmd != "table1")
         return usage();
