@@ -7,8 +7,10 @@
 //  * generate_plane_set end to end: the seed serial path (1 thread, no Vsa
 //    memoization) vs. the parallel engine (pool + VsaCache),
 //  * the transient-engine ladder on the Fig. 2 plane workload (1 thread):
-//    seed fixed-dt dense vs fixed-dt sparse vs adaptive (LTE) + sparse vs
-//    the batched ensemble engine (adaptive + sparse + N lanes per solve),
+//    seed fixed-dt dense vs fixed-dt sparse vs adaptive (LTE) + sparse
+//    per point (the per-point reference sweep, every simulation a width-1
+//    ensemble lane, scalar Vsa bisection) vs the batched sweep (N lanes
+//    per solve, dyadic-grid Vsa extraction),
 //  * observability overhead: the adaptive+sparse plane workload with metric
 //    and span collection on vs. suspended (obs::set_collecting); the
 //    acceptance ceiling is <2% overhead,
@@ -21,9 +23,14 @@
 // All comparisons are written to BENCH_engine.json (wall time and
 // points/sec per variant plus the speedups), together with the full metric
 // dump of the instrumented adaptive run, so the perf trajectory is
-// self-describing across PRs.  The engine acceptance floors are
-// adaptive_sparse_speedup >= 3 over the seed fixed-dense configuration and
-// ensemble_speedup >= 2.5 over adaptive+sparse.  The JSON lands in the
+// self-describing across PRs.  adaptive_sparse_speedup is the adaptive
+// engine over the seed fixed-dense configuration.  ensemble_speedup is the
+// batched sweep over the per-point sweep: both run the same adaptive
+// engine (the per-point sweep as width-1 lanes), so the ratio measures
+// what lane batching and the dyadic Vsa grid buy, not the gap between two
+// engines.  CI gates both ratios at 90% of the
+// committed BENCH_engine.json, recorded with the CI gate's own flags
+// (--r-points=5 --skip-micro, default --reps).  The JSON lands in the
 // repo root (DRAMSTRESS_BENCH_OUT_DIR) regardless of the runner's CWD.
 // Flags: --r-points=N shrinks the sweep grid, --threads=N caps the pool,
 // --batch=N sets the ensemble rung's lane count (default 12, the measured

@@ -66,7 +66,7 @@ void sweep_points_batched(ResultPlane& plane, const defect::Defect& d,
         bs.ctxs.reserve(batch);
         for (size_t k = 0; k < batch; ++k)
           bs.ctxs.emplace_back(tech, d, r_init, cond, settings);
-        std::vector<dram::ColumnSimulator*> sims;
+        std::vector<const dram::ColumnSimulator*> sims;
         sims.reserve(batch);
         for (auto& c : bs.ctxs) sims.push_back(&c.sim());
         bs.ens = std::make_unique<dram::EnsembleColumnSim>(std::move(sims));

@@ -44,8 +44,7 @@ void feed_settings(KeyHasher& h, const dram::SimSettings& s) {
       .feed(s.newton.res_tol)
       .feed(static_cast<long>(s.newton.max_iter))
       .feed(s.newton.max_step)
-      .feed(s.newton.gmin)
-      .feed(s.newton.reuse_jacobian);
+      .feed(s.newton.gmin);
   h.feed(s.timing.ramp)
       .feed(s.timing.sense_delay)
       .feed(s.timing.write_delay)

@@ -8,36 +8,12 @@
 #include "circuit/source.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
-#include "util/units.hpp"
 
 namespace dramstress::circuit {
 
 namespace {
 
 int mode_index(AnalysisMode m) { return static_cast<int>(m); }
-
-/// F(u) = softplus(u/2)^2 and its derivative, sharing one exp() between
-/// the softplus and logistic factors (logistic(x) = e^x / (1 + e^x)).
-/// Same guard bands as the scalar model in mosfet.cpp.
-inline void ekv_f_fast(double u, double* f, double* df) {
-  const double x = 0.5 * u;
-  double sp;
-  double lg;
-  if (x > 35.0) {
-    sp = x;
-    lg = 1.0;
-  } else if (x < -35.0) {
-    const double e = std::exp(x);
-    sp = e;
-    lg = e;
-  } else {
-    const double e = std::exp(x);
-    sp = std::log1p(e);
-    lg = e / (1.0 + e);
-  }
-  *f = sp * sp;
-  *df = sp * lg;
-}
 
 }  // namespace
 
@@ -83,16 +59,8 @@ EnsembleMna::EnsembleMna(std::vector<Netlist*> lanes)
                           dev->name());
       }
       if (dev->kind() == DeviceKind::Mosfet) {
-        const Mosfet* mos = static_cast<const Mosfet*>(dev);
         MosCache mc;
-        mc.dev = mos;
-        mc.d = mos->terminals()[0];
-        mc.s = mos->terminals()[1];
-        mc.g = mos->sense_terminals()[0];
-        mc.b = mos->sense_terminals()[1];
-        mc.sign = (mos->type() == MosType::Nmos) ? 1.0 : -1.0;
-        mc.n = mos->params().n;
-        mc.lambda = mos->params().lambda;
+        mc.dev = static_cast<const Mosfet*>(dev);
         mos_[l].push_back(mc);
       }
     }
@@ -104,7 +72,7 @@ EnsembleMna::EnsembleMna(std::vector<Netlist*> lanes)
     }
   }
 
-  capture_pattern();
+  pattern_ = capture_pattern(*lanes_[0], num_unknowns());
   record_programs();
 
   const size_t n = static_cast<size_t>(num_unknowns());
@@ -120,30 +88,6 @@ EnsembleMna::EnsembleMna(std::vector<Netlist*> lanes)
     ls.res.assign(n, 0.0);
     ls.dx.assign(n, 0.0);
   }
-}
-
-void EnsembleMna::capture_pattern() {
-  // Identical to MnaSystem::capture_pattern, run on lane 0: the union of
-  // every mode's stamps plus the gmin diagonal.
-  const size_t n = static_cast<size_t>(num_unknowns());
-  pattern_ = numeric::SparseMatrix(n);
-  numeric::Vector x0(n, 0.0);
-  numeric::Vector res_scratch(n, 0.0);
-  for (const AnalysisMode mode :
-       {AnalysisMode::DcOp, AnalysisMode::TransientBe,
-        AnalysisMode::TransientTrap}) {
-    StampContext ctx;
-    ctx.mode = mode;
-    ctx.time = 0.0;
-    ctx.dt = 1e-9;
-    ctx.x = &x0;
-    ctx.num_nodes = num_nodes_;
-    Stamper stamper(pattern_, res_scratch, num_nodes_);
-    for (Device* dev : devices_[0]) dev->stamp(ctx, stamper);
-  }
-  for (int i = 0; i < num_nodes_; ++i)
-    pattern_.add(static_cast<size_t>(i), static_cast<size_t>(i), 0.0);
-  pattern_.finalize();
 }
 
 void EnsembleMna::record_programs() {
@@ -184,67 +128,6 @@ void EnsembleMna::begin_run() {
   for (auto& ls : solvers_) ls.fresh = true;
 }
 
-void EnsembleMna::stamp_mosfet(MosCache& mc, const StampContext& ctx,
-                               Stamper& st) const {
-  if (mc.temp_key != ctx.temperature) {
-    // Hoist the temperature block of Mosfet::evaluate (pow, Vth(T), Vt):
-    // recomputed only when the lane's temperature changes, i.e. once per
-    // simulation in practice.
-    const MosfetParams& p = mc.dev->params();
-    mc.temp_key = ctx.temperature;
-    mc.vt = units::thermal_voltage(ctx.temperature);
-    mc.vth_t = mc.dev->vth(ctx.temperature);
-    const double kp = p.kp_tnom * std::pow(ctx.temperature / p.tnom, p.bex);
-    mc.ispec = 2.0 * p.n * kp * (p.w / p.l) * mc.vt * mc.vt;
-  }
-
-  // Same math as Mosfet::evaluate with the hoisted constants and the
-  // shared-exp F(u); see mosfet.cpp for the derivation and sign notes.
-  const double sign = mc.sign;
-  const double vdb = sign * (ctx.v(mc.d) - ctx.v(mc.b));
-  const double vgb = sign * (ctx.v(mc.g) - ctx.v(mc.b));
-  const double vsb = sign * (ctx.v(mc.s) - ctx.v(mc.b));
-
-  const double vp = (vgb - mc.vth_t) / mc.n;
-  const double uf = (vp - vsb) / mc.vt;
-  const double ur = (vp - vdb) / mc.vt;
-
-  double ff;
-  double dff;
-  double fr;
-  double dfr;
-  ekv_f_fast(uf, &ff, &dff);
-  ekv_f_fast(ur, &fr, &dfr);
-
-  const double i0 = mc.ispec * (ff - fr);
-  const double vds = vdb - vsb;
-  const double clm = 1.0 + mc.lambda * std::fabs(vds);
-  const double dclm_dvd = mc.lambda * (vds >= 0.0 ? 1.0 : -1.0);
-
-  const double di0_dvg = mc.ispec * (dff - dfr) / (mc.n * mc.vt);
-  const double di0_dvs = -mc.ispec * dff / mc.vt;
-  const double di0_dvd = mc.ispec * dfr / mc.vt;
-  const double gb_mirror = mc.ispec * (dff - dfr) * (1.0 - 1.0 / mc.n) / mc.vt;
-
-  const double gm = di0_dvg * clm;
-  const double gs = di0_dvs * clm - i0 * dclm_dvd;
-  const double gds = di0_dvd * clm + i0 * dclm_dvd;
-  const double gb = gb_mirror * clm;
-  const double ids = sign * (i0 * clm);
-
-  // Exact call order of Mosfet::stamp so the recorded program lines up.
-  st.res_node(mc.d, ids);
-  st.res_node(mc.s, -ids);
-  st.jac_node_node(mc.d, mc.d, gds);
-  st.jac_node_node(mc.d, mc.g, gm);
-  st.jac_node_node(mc.d, mc.s, gs);
-  st.jac_node_node(mc.d, mc.b, gb);
-  st.jac_node_node(mc.s, mc.d, -gds);
-  st.jac_node_node(mc.s, mc.g, -gm);
-  st.jac_node_node(mc.s, mc.s, -gs);
-  st.jac_node_node(mc.s, mc.b, -gb);
-}
-
 void EnsembleMna::assemble(const std::vector<size_t>& pending,
                            const std::vector<StampContext>& ctx,
                            const std::vector<char>& res_only) {
@@ -276,9 +159,15 @@ void EnsembleMna::assemble(const std::vector<size_t>& pending,
     for (size_t di = 0; di < num_devices; ++di) {
       const Device* dev = devices_[l][di];
       switch (kinds_[di]) {
-        case DeviceKind::Mosfet:
-          stamp_mosfet(mos_[l][static_cast<size_t>(mos_index_[di])], c, st);
+        case DeviceKind::Mosfet: {
+          MosCache& mc = mos_[l][static_cast<size_t>(mos_index_[di])];
+          if (mc.temp_key != c.temperature) {
+            mc.temp_key = c.temperature;
+            mc.k = mc.dev->constants(c.temperature);
+          }
+          mc.dev->stamp_with(mc.k, c, st);
           break;
+        }
         case DeviceKind::Resistor:
           static_cast<const Resistor*>(dev)->Resistor::stamp(c, st);
           break;
@@ -299,16 +188,17 @@ void EnsembleMna::assemble(const std::vector<size_t>& pending,
 void EnsembleMna::solve_lockstep(const std::vector<size_t>& lanes,
                                  std::vector<StampContext>& ctx,
                                  std::vector<numeric::Vector>& x,
-                                 const NewtonOptions& opt,
+                                 const NewtonOptions& opt, bool chord,
                                  std::vector<NewtonResult>& results) {
   const size_t n = static_cast<size_t>(num_unknowns());
 
   // Every solve (re)factors at its first iteration; later iterations of
-  // the same solve may reuse that factorization (chord method), exactly as
-  // MnaSystem does.  A cross-*step* chord was tried here and measured a
-  // net loss on the plane workload -- it roughly doubled the Newton
-  // iteration count (4.9 vs 2.5 per solve), and each extra iteration costs
-  // a full assembly, which outweighs the ~2 us refactorization it saves.
+  // the same solve may reuse that factorization (chord method).  A
+  // cross-*step* chord was tried here and measured a net loss on the plane
+  // workload -- it roughly doubled the Newton iteration count (4.9 vs 2.5
+  // per solve), and each extra iteration costs a full assembly, which
+  // outweighs the ~2 us refactorization it saves; on the Table-1 campaign
+  // it saved 0.06 % of refactorizations (docs/ENGINE.md).
   std::vector<char> reuse(lanes_.size(), 0);
   std::vector<double> prev_res(lanes_.size(), 0.0);
   long chord_reuses = 0;
@@ -371,7 +261,7 @@ void EnsembleMna::solve_lockstep(const std::vector<size_t>& lanes,
         // numeric path is a pure function of this run's inputs.
         ls.slu.factor(ls.mat);
         ls.fresh = false;
-        reuse[l] = opt.reuse_jacobian ? 1 : 0;
+        reuse[l] = chord ? 1 : 0;
       } else {
         refac.push_back(l);
       }
@@ -391,7 +281,7 @@ void EnsembleMna::solve_lockstep(const std::vector<size_t>& lanes,
       for (size_t i = 0; i < refac.size(); ++i) {
         const size_t l = refac[i];
         if (batched_done[i] == 0) solvers_[l].slu.refactor(solvers_[l].mat);
-        reuse[l] = opt.reuse_jacobian ? 1 : 0;
+        reuse[l] = chord ? 1 : 0;
       }
     }
 

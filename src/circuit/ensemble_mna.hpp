@@ -11,15 +11,15 @@
 //     lane and iteration -- assembly never searches for a slot again;
 //   * assembly replays those programs lane-major, writing straight into
 //     each lane's CSR value array and residual, and MOSFET evaluation
-//     hoists the temperature-dependent model constants out of the loop.
+//     caches each device's temperature constants (Mosfet::constants).
 //
 // Each lane keeps its own numeric factorization and Newton iterate, so
 // lanes at different time steps / defect values never couple numerically:
 // a lane's solution is a pure function of that lane's inputs, which is
 // what makes batch-size-1-vs-N results byte-identical.  Within a solve,
-// later iterations reuse the first iteration's factorization (chord
-// method) exactly as MnaSystem does; carrying a factorization across
-// *steps* was tried and measured a net loss (see solve_lockstep).
+// later iterations may reuse the first iteration's factorization (chord
+// method); carrying a factorization across *steps* was tried and measured
+// a net loss (see solve_lockstep).
 // begin_run() forgets all factorizations so every run re-derives its pivot
 // order from its own first matrix -- no cross-run numeric state.
 #pragma once
@@ -59,12 +59,14 @@ public:
   /// x[l] are indexed by absolute lane index and carry each lane's own
   /// mode/time/dt and iterate.  Lanes that converge retire from the
   /// iteration; results[l] is written for every requested lane.
-  /// Semantics per lane match MnaSystem::solve (damping, exact-residual
-  /// convergence, residual-only acceptance after max_iter).
+  /// Damping, exact-residual convergence and residual-only acceptance after
+  /// max_iter match MnaSystem::solve.  With `chord` a lane keeps its
+  /// factorization for later iterations of the solve until its residual
+  /// stops halving; without it every iteration refactors (plain Newton).
   void solve_lockstep(const std::vector<size_t>& lanes,
                       std::vector<StampContext>& ctx,
                       std::vector<numeric::Vector>& x,
-                      const NewtonOptions& opt,
+                      const NewtonOptions& opt, bool chord,
                       std::vector<NewtonResult>& results);
 
   static double voltage(const numeric::Vector& x, NodeId n) {
@@ -72,14 +74,12 @@ public:
   }
 
 private:
-  /// Per-MOSFET constants that depend only on parameters and temperature,
-  /// hoisted out of the per-iteration evaluation.
+  /// A MOSFET's temperature constants, recomputed only when the lane's
+  /// temperature changes (once per simulation in practice).
   struct MosCache {
     const Mosfet* dev = nullptr;
-    NodeId d = 0, g = 0, s = 0, b = 0;
-    double temp_key = -1.0;  // kelvin the block below was computed for
-    double sign = 1.0, n = 1.0, lambda = 0.0;
-    double vt = 0.0, vth_t = 0.0, ispec = 0.0;
+    double temp_key = -1.0;  // kelvin `k` was computed for
+    MosConstants k;
   };
 
   struct LaneSolver {
@@ -89,7 +89,6 @@ private:
     bool fresh = true;  // no factorization yet this run
   };
 
-  void capture_pattern();
   void record_programs();
   /// Assemble residual and Jacobian for every lane in `pending`.  When
   /// `res_only` is non-empty, lanes it flags replay the residual alone:
@@ -98,7 +97,6 @@ private:
   void assemble(const std::vector<size_t>& pending,
                 const std::vector<StampContext>& ctx,
                 const std::vector<char>& res_only);
-  void stamp_mosfet(MosCache& mc, const StampContext& ctx, Stamper& st) const;
 
   std::vector<Netlist*> lanes_;
   int num_nodes_ = 0;

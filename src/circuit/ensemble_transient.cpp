@@ -14,8 +14,6 @@ EnsembleTransient::EnsembleTransient(EnsembleMna& sys, TransientOptions options,
                                      std::vector<char> active)
     : sys_(&sys), opt_(options), active_(std::move(active)) {
   require(opt_.dt > 0.0, "EnsembleTransient: dt must be positive");
-  require(opt_.adaptive,
-          "EnsembleTransient: only the adaptive (LTE) path is batched");
   const size_t nlanes = sys_->num_lanes();
   if (active_.empty()) active_.assign(nlanes, 1);
   require(active_.size() == nlanes,
@@ -25,9 +23,10 @@ EnsembleTransient::EnsembleTransient(EnsembleMna& sys, TransientOptions options,
   time_.assign(nlanes, 0.0);
   first_step_done_.assign(nlanes, 0);
   accepted_.assign(nlanes, 0);
-  rejected_.assign(nlanes, 0);
   breakpoints_.resize(nlanes);
   ctrl_.resize(nlanes);
+  probes_.resize(nlanes);
+  traces_.resize(nlanes);
   ctx_.resize(nlanes);
   x_try_.resize(nlanes);
   results_.resize(nlanes);
@@ -39,6 +38,23 @@ void EnsembleTransient::set_initial_condition(size_t lane, NodeId node,
           "EnsembleTransient: initial conditions must precede run()");
   require(node != kGround, "EnsembleTransient: cannot set IC on ground");
   x_[lane][static_cast<size_t>(node - 1)] = volts;
+}
+
+void EnsembleTransient::add_probe(size_t lane, const std::string& name,
+                                  NodeId node) {
+  require(!started_, "EnsembleTransient: probes must be added before run()");
+  probes_[lane].push_back(node);
+  traces_[lane].names.push_back(name);
+  traces_[lane].samples.emplace_back();
+}
+
+void EnsembleTransient::record(size_t lane) {
+  const std::vector<NodeId>& probes = probes_[lane];
+  if (probes.empty()) return;
+  Trace& tr = traces_[lane];
+  tr.time.push_back(time_[lane]);
+  for (size_t i = 0; i < probes.size(); ++i)
+    tr.samples[i].push_back(voltage(lane, probes[i]));
 }
 
 void EnsembleTransient::set_dt(double dt) {
@@ -60,7 +76,8 @@ void EnsembleTransient::ensure_started() {
   sopt.dt_max = opt_.dt_max;
   for (size_t l = 0; l < sys_->num_lanes(); ++l) {
     if (active_[l] == 0) continue;
-    // UIC start per lane, as TransientSim::ensure_started.
+    // UIC start per lane: the given node voltages are the state at t=0,
+    // and storage elements remember them.
     StampContext ctx;
     ctx.mode = AnalysisMode::TransientBe;
     ctx.time = time_[l];
@@ -79,6 +96,7 @@ void EnsembleTransient::ensure_started() {
     breakpoints_[l].add_all(bps);
     ctrl_[l].emplace(sopt, opt_.dt, static_cast<size_t>(sys_->num_nodes()));
     ctrl_[l]->seed(time_[l], x_[l]);
+    record(l);
   }
 }
 
@@ -107,9 +125,6 @@ void EnsembleTransient::run(double t_end) {
       require(t_end > time_[l],
               "EnsembleTransient::run: t_end must exceed current time");
 
-  NewtonOptions nopt = opt_.newton;
-  nopt.reuse_jacobian = opt_.reuse_jacobian;
-
   std::vector<size_t> stepping;
   stepping.reserve(nlanes);
   std::vector<char> on_bp(nlanes, 0);
@@ -130,7 +145,9 @@ void EnsembleTransient::run(double t_end) {
     }
     if (stepping.empty()) break;
 
-    // Per-lane step proposal, exactly as TransientSim::run_adaptive.
+    // Per-lane step proposal: the controller's step, cut by the next
+    // waveform breakpoint and by t_end; a sliver shorter than dt_min left
+    // before the limit is absorbed into this step so the landing is exact.
     for (const size_t l : stepping) {
       StepController& ctrl = *ctrl_[l];
       const double bp = breakpoints_[l].next_after(time_[l] + teps);
@@ -149,10 +166,12 @@ void EnsembleTransient::run(double t_end) {
       ctx.time = target;
       ctx.dt = h;
       ctx.temperature = opt_.temperature;
+      // The predictor doubles as the Newton warm start.
       if (!ctrl.predict(target, x_try_[l])) x_try_[l] = x_[l];
     }
 
-    sys_->solve_lockstep(stepping, ctx_, x_try_, nopt, results_);
+    sys_->solve_lockstep(stepping, ctx_, x_try_, opt_.newton,
+                         opt_.reuse_jacobian, results_);
 
     for (const size_t l : stepping) {
       StepController& ctrl = *ctrl_[l];
@@ -167,7 +186,6 @@ void EnsembleTransient::run(double t_end) {
               results_[l].residual));
         }
         ctrl.halve();
-        ++rejected_[l];
         obs::count("step.rejected_newton");
         continue;
       }
@@ -175,13 +193,16 @@ void EnsembleTransient::run(double t_end) {
       const bool h_at_floor = h <= ctrl.options().dt_min * (1.0 + 1e-12);
       if (err > 1.0 && !h_at_floor) {
         ctrl.reject(err);
-        ++rejected_[l];
         obs::count("step.rejected_lte");
         continue;
       }
       commit(l, std::move(x_try_[l]), target, ctx_[l]);
       ctrl.accept(time_[l], x_[l], err);
+      // A breakpoint marks a waveform corner: the slope ahead is new, so
+      // restart from the conservative initial step instead of carrying a
+      // hold-sized proposal into the edge.
       if (on_bp[l] != 0) ctrl.clamp_to(opt_.dt);
+      record(l);
     }
   }
 }

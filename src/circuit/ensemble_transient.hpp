@@ -1,23 +1,27 @@
-// Lockstep adaptive transient over an EnsembleMna.
+// Lockstep adaptive transient over an EnsembleMna: the one adaptive
+// stepping loop in the engine.
 //
-// Each lane integrates with exactly the semantics of TransientSim's
-// adaptive path -- its own LTE StepController, its own breakpoint
-// registry (built from its own devices), its own Newton-failure halving
-// -- so a lane's trajectory is a pure function of that lane's inputs and
-// is bitwise independent of which other lanes share the batch.  What the
-// ensemble shares is *work*: every round, all lanes that still have
-// ground to cover attempt their next step together through one batched
-// solve_lockstep call (device-major assembly, per-lane chord
-// factorizations).  Lanes that reach t_end retire from the round set;
-// run(t_end) returns when every active lane has landed exactly on t_end,
-// which makes run() boundaries (operation samples, interval ends) the
-// common checkpoints of a batched column simulation.
-//
-// Adaptive/LTE stepping only: the ensemble engine exists for the
-// plane-sweep workload, which runs the adaptive path.
+// Each lane integrates with SPICE-style local-truncation-error control: a
+// polynomial predictor extrapolates the last accepted solutions (and warm
+// starts Newton), the predictor-vs-corrector difference bounds the LTE,
+// the step grows through flat holds and shrinks at precharge/sense edges,
+// a breakpoint registry fed by the lane's own source waveforms pins
+// accepted steps exactly onto command edges, and a Newton failure halves
+// the step.  Every lane has its own StepController and registry, so a
+// lane's trajectory is a pure function of that lane's inputs and is
+// bitwise independent of which other lanes share the batch -- a single
+// simulation is simply a width-1 ensemble.  What the ensemble shares is
+// *work*: every round, all lanes that still have ground to cover attempt
+// their next step together through one batched solve_lockstep call.
+// Lanes that reach t_end retire from the round set; run(t_end) returns
+// when every active lane has landed exactly on t_end, which makes run()
+// boundaries (operation samples, interval ends) the common checkpoints of
+// a batched column simulation.  The fixed-step reference engine is
+// TransientSim.
 #pragma once
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "circuit/ensemble_mna.hpp"
@@ -36,22 +40,26 @@ public:
 
   void set_initial_condition(size_t lane, NodeId node, double volts);
 
+  /// Record `node` of `lane` under `name` at the start and after every
+  /// accepted step.  Must precede the first run(); lanes without probes
+  /// record nothing.
+  void add_probe(size_t lane, const std::string& name, NodeId node);
+
   /// Change the proposal step for subsequent run() calls, all lanes.
   void set_dt(double dt);
 
   /// Advance every active lane to exactly t_end.
   void run(double t_end);
 
-  double time(size_t lane) const { return time_[lane]; }
   double voltage(size_t lane, NodeId node) const {
     return EnsembleMna::voltage(x_[lane], node);
   }
-  const numeric::Vector& state(size_t lane) const { return x_[lane]; }
   long accepted_steps(size_t lane) const { return accepted_[lane]; }
-  long rejected_steps(size_t lane) const { return rejected_[lane]; }
+  const Trace& trace(size_t lane) const { return traces_[lane]; }
 
 private:
   void ensure_started();
+  void record(size_t lane);
   void commit(size_t lane, numeric::Vector&& x_new, double t_new,
               const StampContext& ctx);
 
@@ -69,9 +77,10 @@ private:
   std::vector<double> time_;
   std::vector<char> first_step_done_;
   std::vector<long> accepted_;
-  std::vector<long> rejected_;
   std::vector<BreakpointRegistry> breakpoints_;
   std::vector<std::optional<StepController>> ctrl_;
+  std::vector<std::vector<NodeId>> probes_;
+  std::vector<Trace> traces_;
 
   // Per-run scratch, lane-indexed.
   std::vector<StampContext> ctx_;

@@ -32,16 +32,16 @@ MnaSystem::MnaSystem(Netlist& netlist, SolverBackend backend)
   use_sparse_ = backend == SolverBackend::Sparse ||
                 (backend == SolverBackend::Auto &&
                  num_unknowns() >= kSparseThreshold);
-  if (use_sparse_) capture_pattern();
+  if (use_sparse_) sjac_ = capture_pattern(netlist, num_unknowns());
 }
 
-void MnaSystem::capture_pattern() {
-  const size_t n = static_cast<size_t>(num_unknowns());
-  sjac_ = numeric::SparseMatrix(n);
-  // Stamp every device in every analysis mode at a zero iterate: the union
-  // covers mode-dependent structure (capacitors stamp no Jacobian in DC,
-  // inductors change their branch row between modes).  Values are ignored
-  // by the unfinalized matrix, so a nonsense operating point is fine.
+numeric::SparseMatrix capture_pattern(const Netlist& netlist,
+                                      int num_unknowns) {
+  const size_t n = static_cast<size_t>(num_unknowns);
+  const int num_nodes = netlist.num_nodes();
+  numeric::SparseMatrix pattern(n);
+  // Values are ignored by the unfinalized matrix, so a nonsense operating
+  // point is fine.
   numeric::Vector x0(n, 0.0);
   numeric::Vector res_scratch(n, 0.0);
   for (const AnalysisMode mode :
@@ -52,14 +52,14 @@ void MnaSystem::capture_pattern() {
     ctx.time = 0.0;
     ctx.dt = 1e-9;  // any positive dt: only the structure matters here
     ctx.x = &x0;
-    ctx.num_nodes = num_nodes_;
-    Stamper stamper(sjac_, res_scratch, num_nodes_);
-    for (const auto& dev : netlist_->devices()) dev->stamp(ctx, stamper);
+    ctx.num_nodes = num_nodes;
+    Stamper stamper(pattern, res_scratch, num_nodes);
+    for (const auto& dev : netlist.devices()) dev->stamp(ctx, stamper);
   }
-  // gmin diagonal on every node row.
-  for (int i = 0; i < num_nodes_; ++i)
-    sjac_.add(static_cast<size_t>(i), static_cast<size_t>(i), 0.0);
-  sjac_.finalize();
+  for (int i = 0; i < num_nodes; ++i)
+    pattern.add(static_cast<size_t>(i), static_cast<size_t>(i), 0.0);
+  pattern.finalize();
+  return pattern;
 }
 
 numeric::SparseMatrix& MnaSystem::sparse_jacobian() const {
@@ -105,16 +105,9 @@ NewtonResult MnaSystem::solve(StampContext ctx, numeric::Vector& x,
   ctx.num_nodes = num_nodes_;
   OBS_SPAN("newton.solve");
 
-  // Modified Newton: reuse the previous factorization only while the
-  // companion-model coefficients it was built from are unchanged.
-  bool reuse = use_sparse_ && opt.reuse_jacobian &&
-               factor_key_matches(ctx, opt.gmin);
-  double prev_residual = 0.0;
-  long chord_reuses = 0;  // counted locally, one obs emit per solve
   const auto emit = [&](const NewtonResult& r) {
     obs::count("newton.solves");
     obs::count("newton.iterations", r.iterations);
-    if (chord_reuses != 0) obs::count("newton.chord_reuse", chord_reuses);
     if (!r.converged) obs::count("newton.nonconverged");
   };
 
@@ -122,23 +115,10 @@ NewtonResult MnaSystem::solve(StampContext ctx, numeric::Vector& x,
   for (int iter = 0; iter < opt.max_iter; ++iter) {
     if (use_sparse_) {
       assemble_sparse(ctx, opt.gmin, sjac_, res_);
-      if (reuse) {
-        ++reuse_count_;
-        ++chord_reuses;
-      } else {
-        if (slu_.analyzed())
-          slu_.refactor(sjac_);
-        else
-          slu_.factor(sjac_);
-        have_factor_ = true;
-        fkey_mode_ = ctx.mode;
-        fkey_dt_ = ctx.dt;
-        fkey_gmin_ = opt.gmin;
-        fkey_temp_ = ctx.temperature;
-        // Within-solve chord iteration: hold this factorization for the
-        // remaining iterations (until the stall check below revokes it).
-        reuse = opt.reuse_jacobian;
-      }
+      if (slu_.analyzed())
+        slu_.refactor(sjac_);
+      else
+        slu_.factor(sjac_);
       slu_.solve_into(res_, dx_);  // dx_ = J^{-1} f ; the update is -dx_
     } else {
       assemble(ctx, opt.gmin, jac_, res_);
@@ -161,13 +141,6 @@ NewtonResult MnaSystem::solve(StampContext ctx, numeric::Vector& x,
       emit(result);
       return result;
     }
-    // A stale factorization that stops shrinking the residual is not worth
-    // keeping: refactor from the next assembly on.
-    if (reuse && iter > 0 && result.residual > 0.5 * prev_residual) {
-      reuse = false;
-      obs::count("newton.chord_fallback");
-    }
-    prev_residual = result.residual;
   }
   // Final residual check: accept if the residual alone is tiny (can happen
   // when the update is limited by conditioning, not by physics).

@@ -7,11 +7,10 @@
 //     for tiny systems and as the reference in equivalence tests.
 //   * sparse: the MNA pattern is captured once at construction (union of
 //     every analysis mode's stamps), and a SparseLuSolver reuses that
-//     pattern's symbolic analysis across all refactorizations.  With
-//     NewtonOptions::reuse_jacobian the factorization itself is also
-//     reused across iterations and steps (modified Newton): the residual
-//     is always exact, so convergence checks stay sound, and a stalling
-//     iteration triggers a refactorization.
+//     pattern's symbolic analysis across all refactorizations.
+// MnaSystem runs plain Newton (one refactorization per iteration): it
+// serves the DC operating point and the fixed-step reference engine.  The
+// adaptive engine's chord iteration lives in EnsembleMna.
 #pragma once
 
 #include "circuit/netlist.hpp"
@@ -27,11 +26,6 @@ struct NewtonOptions {
   int max_iter = 120;
   double max_step = 0.5;     // V, per-iteration voltage update clamp
   double gmin = 1e-12;       // S, conductance to ground at every node
-  /// Modified Newton (sparse backend only): start from the last
-  /// factorization when mode/dt/gmin/temperature are unchanged and only
-  /// refactor when the residual stalls.  The exact-residual convergence
-  /// test is unaffected; only the iteration path changes.
-  bool reuse_jacobian = false;
 };
 
 struct NewtonResult {
@@ -46,6 +40,14 @@ enum class SolverBackend {
   Dense,   // force the seed dense path
   Sparse,  // force the sparse path
 };
+
+/// The structural Jacobian pattern of `netlist`, whose branch unknowns are
+/// already assigned: every device stamped in every analysis mode at a zero
+/// iterate, plus the gmin diagonal, finalized.  The union covers
+/// mode-dependent structure (capacitors stamp no Jacobian in DC, inductors
+/// change their branch row between modes).
+numeric::SparseMatrix capture_pattern(const Netlist& netlist,
+                                      int num_unknowns);
 
 /// Binds a Netlist to an unknown vector layout:
 ///   unknowns [0, num_nodes)                 -> node voltages
@@ -88,23 +90,7 @@ public:
     return n == kGround ? 0.0 : x[static_cast<size_t>(n - 1)];
   }
 
-  // Solver-cost counters (tests, perf bench).
-  long factor_count() const { return slu_.factor_count(); }
-  long refactor_count() const { return slu_.refactor_count(); }
-  /// Newton iterations that skipped factorization entirely (modified
-  /// Newton running on a previous step's factorization).
-  long jacobian_reuse_count() const { return reuse_count_; }
-
 private:
-  /// Capture the structural pattern by stamping every device in every
-  /// analysis mode at a zero iterate.
-  void capture_pattern();
-
-  bool factor_key_matches(const StampContext& ctx, double gmin) const {
-    return have_factor_ && fkey_mode_ == ctx.mode && fkey_dt_ == ctx.dt &&
-           fkey_gmin_ == gmin && fkey_temp_ == ctx.temperature;
-  }
-
   Netlist* netlist_;
   int num_nodes_ = 0;
   int num_branches_ = 0;
@@ -116,13 +102,6 @@ private:
   mutable numeric::Vector dx_;
   mutable numeric::LuSolver lu_;
   mutable numeric::SparseLuSolver slu_;
-  // Modified-Newton factorization identity.
-  mutable bool have_factor_ = false;
-  mutable AnalysisMode fkey_mode_ = AnalysisMode::DcOp;
-  mutable double fkey_dt_ = 0.0;
-  mutable double fkey_gmin_ = 0.0;
-  mutable double fkey_temp_ = 0.0;
-  mutable long reuse_count_ = 0;
 };
 
 }  // namespace dramstress::circuit

@@ -6,30 +6,6 @@
 #include "util/units.hpp"
 
 namespace dramstress::circuit {
-namespace {
-
-/// softplus(x) = ln(1 + e^x), overflow-safe.
-double softplus(double x) {
-  if (x > 35.0) return x;
-  if (x < -35.0) return std::exp(x);
-  return std::log1p(std::exp(x));
-}
-
-/// logistic(x) = 1 / (1 + e^{-x}) = d softplus / dx.
-double logistic(double x) {
-  if (x > 35.0) return 1.0;
-  if (x < -35.0) return std::exp(x);
-  return 1.0 / (1.0 + std::exp(-x));
-}
-
-/// EKV interpolation F(u) = softplus(u/2)^2 and its derivative.
-void ekv_f(double u, double* f, double* df) {
-  const double sp = softplus(0.5 * u);
-  *f = sp * sp;
-  *df = sp * logistic(0.5 * u);
-}
-
-}  // namespace
 
 Mosfet::Mosfet(std::string name, MosType type, NodeId drain, NodeId gate,
                NodeId source, NodeId bulk, MosfetParams params)
@@ -53,71 +29,16 @@ double Mosfet::vth(double kelvin) const {
   return p_.vth0 - p_.tcv * (kelvin - p_.tnom);
 }
 
-MosOperatingPoint Mosfet::evaluate(double vd, double vg, double vs, double vb,
-                                   double kelvin) const {
-  // PMOS: evaluate the NMOS equations in mirrored voltage space; currents
-  // negate, conductances keep their sign (d(-I)/d(-V) = dI/dV).
-  const double sign = (type_ == MosType::Nmos) ? 1.0 : -1.0;
-  const double vdb = sign * (vd - vb);
-  const double vgb = sign * (vg - vb);
-  const double vsb = sign * (vs - vb);
-
-  const double vt = units::thermal_voltage(kelvin);
-  const double vth_t = vth(kelvin);
+MosConstants Mosfet::constants(double kelvin) const {
+  MosConstants k;
+  k.sign = (type_ == MosType::Nmos) ? 1.0 : -1.0;
+  k.n = p_.n;
+  k.lambda = p_.lambda;
+  k.vt = units::thermal_voltage(kelvin);
+  k.vth = vth(kelvin);
   const double kp = p_.kp_tnom * std::pow(kelvin / p_.tnom, p_.bex);
-  const double ispec = 2.0 * p_.n * kp * (p_.w / p_.l) * vt * vt;
-
-  const double vp = (vgb - vth_t) / p_.n;
-  const double uf = (vp - vsb) / vt;
-  const double ur = (vp - vdb) / vt;
-
-  double ff;
-  double dff;
-  double fr;
-  double dfr;
-  ekv_f(uf, &ff, &dff);
-  ekv_f(ur, &fr, &dfr);
-
-  const double i0 = ispec * (ff - fr);  // before channel-length modulation
-  const double vds = vdb - vsb;
-  const double clm = 1.0 + p_.lambda * std::fabs(vds);
-  const double dclm_dvd = p_.lambda * (vds >= 0.0 ? 1.0 : -1.0);
-
-  MosOperatingPoint op;
-  const double ids_mirror = i0 * clm;
-  // Derivatives in mirrored space.
-  const double di0_dvg = ispec * (dff - dfr) / (p_.n * vt);
-  const double di0_dvs = -ispec * dff / vt;
-  const double di0_dvd = ispec * dfr / vt;
-  // uf = ((vgb - vth)/n - vsb)/vt with vgb = vg - vb, vsb = vs - vb, so
-  // d uf/d vb = (1 - 1/n)/vt, identically for ur.
-  const double gb_mirror = ispec * (dff - dfr) * (1.0 - 1.0 / p_.n) / vt;
-
-  op.gm = di0_dvg * clm;
-  op.gs = di0_dvs * clm - i0 * dclm_dvd;  // d vds/d vs = -1
-  op.gds = di0_dvd * clm + i0 * dclm_dvd;
-  op.gb = gb_mirror * clm;
-  op.ids = sign * ids_mirror;
-  return op;
-}
-
-void Mosfet::stamp(const StampContext& ctx, Stamper& s) const {
-  const MosOperatingPoint op = evaluate(ctx.v(d_), ctx.v(g_), ctx.v(s_),
-                                        ctx.v(b_), ctx.temperature);
-  // KCL: ids flows (externally) into the drain terminal and out of the
-  // source terminal, i.e. ids leaves the drain *node*.
-  s.res_node(d_, op.ids);
-  s.res_node(s_, -op.ids);
-
-  s.jac_node_node(d_, d_, op.gds);
-  s.jac_node_node(d_, g_, op.gm);
-  s.jac_node_node(d_, s_, op.gs);
-  s.jac_node_node(d_, b_, op.gb);
-
-  s.jac_node_node(s_, d_, -op.gds);
-  s.jac_node_node(s_, g_, -op.gm);
-  s.jac_node_node(s_, s_, -op.gs);
-  s.jac_node_node(s_, b_, -op.gb);
+  k.ispec = 2.0 * p_.n * kp * (p_.w / p_.l) * k.vt * k.vt;
+  return k;
 }
 
 }  // namespace dramstress::circuit

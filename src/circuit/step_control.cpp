@@ -12,18 +12,11 @@ namespace dramstress::circuit {
 
 void BreakpointRegistry::add_all(const std::vector<double>& ts) {
   times_.insert(times_.end(), ts.begin(), ts.end());
-  sorted_ = false;
-}
-
-void BreakpointRegistry::ensure_sorted() const {
-  if (sorted_) return;
   std::sort(times_.begin(), times_.end());
   times_.erase(std::unique(times_.begin(), times_.end()), times_.end());
-  sorted_ = true;
 }
 
 double BreakpointRegistry::next_after(double t) const {
-  ensure_sorted();
   const auto it = std::upper_bound(times_.begin(), times_.end(), t);
   return it == times_.end() ? std::numeric_limits<double>::infinity() : *it;
 }

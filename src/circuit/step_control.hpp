@@ -30,22 +30,14 @@ struct StepControlOptions {
 /// Sorted registry of times the integrator must land on exactly.
 class BreakpointRegistry {
 public:
-  void add(double t) {
-    times_.push_back(t);
-    sorted_ = false;
-  }
+  /// Register landing times (any order; duplicates collapse).
   void add_all(const std::vector<double>& ts);
 
   /// First breakpoint strictly after `t`, or +infinity if none.
   double next_after(double t) const;
 
-  size_t size() const { return times_.size(); }
-  const std::vector<double>& times() const { return times_; }
-
 private:
-  void ensure_sorted() const;
-  mutable std::vector<double> times_;
-  mutable bool sorted_ = true;
+  std::vector<double> times_;  // sorted, unique
 };
 
 /// Proposes, grows and shrinks the transient step from LTE estimates.

@@ -75,14 +75,7 @@ void TransientSim::add_probe(const std::string& name, NodeId node) {
 void TransientSim::set_dt(double dt) {
   require(dt > 0.0, "TransientSim: dt must be positive");
   opt_.dt = dt;
-  if (ctrl_) ctrl_->reset(dt);
 }
-
-void TransientSim::set_temperature(double kelvin) {
-  opt_.temperature = kelvin;
-}
-
-void TransientSim::add_breakpoint(double t) { breakpoints_.add(t); }
 
 void TransientSim::ensure_started() {
   if (started_) return;
@@ -98,39 +91,12 @@ void TransientSim::ensure_started() {
   ctx.num_nodes = sys_->num_nodes();
   for (const auto& dev : sys_->netlist().devices()) dev->init_state(ctx);
   record();
-  // Every source waveform corner becomes a mandatory landing time.
-  std::vector<double> bps;
-  for (const auto& dev : sys_->netlist().devices())
-    dev->append_breakpoints(bps);
-  breakpoints_.add_all(bps);
-  if (opt_.adaptive) {
-    StepControlOptions sopt;
-    sopt.lte_tol = opt_.lte_tol;
-    sopt.dt_min = opt_.dt_min;
-    sopt.dt_max = opt_.dt_max;
-    ctrl_.emplace(sopt, opt_.dt, static_cast<size_t>(sys_->num_nodes()));
-    ctrl_->seed(time_, x_);
-  }
 }
 
 void TransientSim::record() {
   trace_.time.push_back(time_);
   for (size_t i = 0; i < probe_nodes_.size(); ++i)
     trace_.samples[i].push_back(voltage(probe_nodes_[i]));
-}
-
-void TransientSim::commit(numeric::Vector&& x_new, double t_new,
-                          const StampContext& ctx0) {
-  x_ = std::move(x_new);
-  const double dt = t_new - time_;
-  time_ = t_new;
-  first_step_done_ = true;
-  ++accepted_steps_;
-  obs::count("step.accepted");
-  obs::observe("step.dt", dt);
-  StampContext ctx = ctx0;
-  ctx.x = &x_;
-  for (const auto& dev : sys_->netlist().devices()) dev->commit_step(ctx);
 }
 
 void TransientSim::step(double dt, int depth) {
@@ -159,10 +125,20 @@ void TransientSim::step(double dt, int depth) {
     step(0.5 * dt, depth + 1);
     return;
   }
-  commit(std::move(x_try), ctx.time, ctx);
+  x_ = std::move(x_try);
+  time_ = ctx.time;
+  first_step_done_ = true;
+  ++accepted_steps_;
+  obs::count("step.accepted");
+  obs::observe("step.dt", dt);
+  ctx.x = &x_;
+  for (const auto& dev : sys_->netlist().devices()) dev->commit_step(ctx);
 }
 
-void TransientSim::run_fixed(double t_end) {
+void TransientSim::run(double t_end) {
+  OBS_SPAN("transient.run");
+  ensure_started();
+  require(t_end > time_, "TransientSim::run: t_end must exceed current time");
   // Guard against accumulation drift: derive the step count up front.
   const double span = t_end - time_;
   const int steps = std::max(1, static_cast<int>(std::ceil(span / opt_.dt - 1e-9)));
@@ -180,78 +156,6 @@ void TransientSim::run_fixed(double t_end) {
     steps_since_record_ = 0;
     record();
   }
-}
-
-void TransientSim::run_adaptive(double t_end) {
-  StepController& ctrl = *ctrl_;
-  const double teps = 1e-15;
-  while (time_ < t_end - teps) {
-    // Candidate end time: the controller's proposal, cut by the next
-    // waveform breakpoint and by t_end; a sliver shorter than dt_min left
-    // before the limit is absorbed into this step so the landing is exact.
-    const double bp = breakpoints_.next_after(time_ + teps);
-    const double limit = std::min(bp, t_end);
-    double target = time_ + ctrl.dt();
-    if (target > limit - ctrl.options().dt_min) target = limit;
-    const bool on_breakpoint = target == bp;
-    const double h = target - time_;
-
-    const bool use_trap =
-        opt_.integrator == Integrator::Trapezoidal && first_step_done_;
-    StampContext ctx;
-    ctx.mode =
-        use_trap ? AnalysisMode::TransientTrap : AnalysisMode::TransientBe;
-    ctx.time = target;
-    ctx.dt = h;
-    ctx.temperature = opt_.temperature;
-    ctx.num_nodes = sys_->num_nodes();
-
-    // Predictor doubles as the Newton warm start.
-    numeric::Vector x_try;
-    if (!ctrl.predict(target, x_try)) x_try = x_;
-    NewtonOptions nopt = opt_.newton;
-    nopt.reuse_jacobian = opt_.reuse_jacobian;
-    const NewtonResult r = sys_->solve(ctx, x_try, nopt);
-    if (!r.converged) {
-      if (ctrl.at_dt_min()) {
-        throw ConvergenceError(util::format(
-            "transient: Newton failed at t=%.6g ns even at dt_min=%.3g ps "
-            "(residual %.3e)",
-            ctx.time * 1e9, ctrl.options().dt_min * 1e12, r.residual));
-      }
-      ctrl.halve();
-      ++rejected_steps_;
-      obs::count("step.rejected_newton");
-      continue;
-    }
-
-    const double err = ctrl.error_norm(target, x_try);
-    const bool h_at_floor = h <= ctrl.options().dt_min * (1.0 + 1e-12);
-    if (err > 1.0 && !h_at_floor) {
-      ctrl.reject(err);
-      ++rejected_steps_;
-      obs::count("step.rejected_lte");
-      continue;
-    }
-
-    commit(std::move(x_try), target, ctx);
-    ctrl.accept(time_, x_, err);
-    // A breakpoint marks a waveform corner: the slope ahead is new, so
-    // restart from the conservative initial step instead of carrying a
-    // hold-sized proposal into the edge.
-    if (on_breakpoint) ctrl.clamp_to(opt_.dt);
-    record();
-  }
-}
-
-void TransientSim::run(double t_end) {
-  OBS_SPAN("transient.run");
-  ensure_started();
-  require(t_end > time_, "TransientSim::run: t_end must exceed current time");
-  if (opt_.adaptive)
-    run_adaptive(t_end);
-  else
-    run_fixed(t_end);
 }
 
 }  // namespace dramstress::circuit

@@ -1,46 +1,43 @@
-// Implicit transient analysis with UIC start: fixed-step or adaptive.
+// Fixed-step implicit transient analysis with UIC start: the scalar
+// reference engine.
 //
-// The fixed-step path is the seed engine: DRAM operation sequences are
-// rigidly clocked, so a fixed step per phase keeps sweeps deterministic
-// and comparable across stress conditions (the ablation bench quantifies
-// BR sensitivity to the step size).  The adaptive path adds SPICE-style
-// local-truncation-error control on top of the same corrector: a
-// polynomial predictor extrapolates the last accepted solutions, the
-// predictor-vs-corrector difference bounds the LTE, the step grows
-// through flat holds and shrinks at precharge/sense edges, and a
-// breakpoint registry fed by every source waveform pins accepted steps
-// exactly onto command edges.  Backward Euler is the default method: its
-// numerical damping is what we want for the regenerative sense-amp
-// latch; trapezoidal integration is available for accuracy comparisons.
-// Steps that fail to converge are retried with a halved local step.
+// DRAM operation sequences are rigidly clocked, so a fixed step per phase
+// keeps sweeps deterministic and comparable across stress conditions (the
+// ablation bench quantifies BR sensitivity to the step size).  This engine
+// serves `--no-adaptive`, minispice and the AdaptiveAccuracy gate; the
+// production engine -- LTE-controlled adaptive stepping -- is
+// EnsembleTransient (circuit/ensemble_transient.hpp), which runs single
+// simulations as width-1 lanes.  Backward Euler is the default method: its
+// numerical damping is what we want for the regenerative sense-amp latch;
+// trapezoidal integration is available for accuracy comparisons.  Steps
+// that fail to converge are retried with a halved local step.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "circuit/mna.hpp"
-#include "circuit/step_control.hpp"
 
 namespace dramstress::circuit {
 
 enum class Integrator { BackwardEuler, Trapezoidal };
 
+/// Options of both transient engines: TransientSim (fixed step) reads the
+/// first block, EnsembleTransient (adaptive) the first and the second.
 struct TransientOptions {
   double dt = 0.1e-9;          // s; fixed step, and the adaptive initial step
   Integrator integrator = Integrator::BackwardEuler;
   double temperature = 300.15;  // K
   NewtonOptions newton;
-  int max_step_halvings = 8;   // local retries on Newton failure
-  int record_stride = 1;       // record every k-th accepted step (fixed path)
+  int max_step_halvings = 8;   // local retries on Newton failure (fixed)
+  int record_stride = 1;       // record every k-th accepted step (fixed)
 
-  // --- adaptive (LTE-controlled) stepping ---------------------------------
-  bool adaptive = false;       // variable step with LTE control
+  // --- adaptive (LTE-controlled) stepping: EnsembleTransient -------------
   double lte_tol = 5e-4;       // relative LTE tolerance on node voltages
   double dt_min = 1e-13;       // s, smallest adaptive step
   double dt_max = 0.0;         // s, largest adaptive step; 0 = uncapped
-  /// Modified Newton in the adaptive path: keep the last factorization
-  /// while convergence is fast, refactor on slowdown or step rejection.
+  /// Chord Newton within each step's solve: keep the first iteration's
+  /// factorization while the residual keeps halving.
   bool reuse_jacobian = true;
 };
 
@@ -80,33 +77,19 @@ public:
   void run(double t_end);
 
   /// Change the step size for subsequent run() calls (e.g. long retention
-  /// "del" phases integrate with a much coarser step).  In adaptive mode
-  /// this resets the controller's current proposal.
+  /// "del" phases integrate with a much coarser step).
   void set_dt(double dt);
-  void set_temperature(double kelvin);
 
-  /// Register an extra time the integrator must land on exactly
-  /// (waveform edges are registered automatically at start).
-  void add_breakpoint(double t);
-
-  double time() const { return time_; }
   double voltage(NodeId node) const { return MnaSystem::voltage(x_, node); }
   const Trace& trace() const { return trace_; }
-  const numeric::Vector& state() const { return x_; }
-  /// Accepted steps so far (fixed and adaptive paths).
+  /// Accepted steps so far (halved retries count each half).
   long accepted_steps() const { return accepted_steps_; }
-  /// Steps rejected by the LTE controller (adaptive path).
-  long rejected_steps() const { return rejected_steps_; }
 
 private:
   void ensure_started();
   /// One implicit step of size dt ending at time_ + dt; recursion depth
-  /// tracks halvings.  Fixed path only.
+  /// tracks halvings.
   void step(double dt, int depth);
-  void run_fixed(double t_end);
-  void run_adaptive(double t_end);
-  /// Commit an accepted solution at t_new (state, device states, history).
-  void commit(numeric::Vector&& x_new, double t_new, const StampContext& ctx);
   void record();
 
   MnaSystem* sys_;
@@ -117,11 +100,8 @@ private:
   bool first_step_done_ = false;
   int steps_since_record_ = 0;
   long accepted_steps_ = 0;
-  long rejected_steps_ = 0;
   std::vector<NodeId> probe_nodes_;
   Trace trace_;
-  BreakpointRegistry breakpoints_;
-  std::optional<StepController> ctrl_;
 };
 
 }  // namespace dramstress::circuit

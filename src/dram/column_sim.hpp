@@ -28,14 +28,18 @@ struct SimSettings {
   // On by default: column waveforms are mostly flat holds, and the LTE
   // controller reproduces the fixed-step planes within documented tolerance
   // (docs/ENGINE.md) at a fraction of the steps.  `dt` above doubles as the
-  // adaptive initial step.
+  // adaptive initial step.  Adaptive runs take the ensemble engine (one
+  // simulation = one lane); `adaptive = false` takes the fixed-step
+  // reference engine.
   bool adaptive = true;
   double lte_tol = 5e-4;   // relative LTE tolerance on node voltages
   double dt_min = 1e-13;   // s, smallest adaptive step
   double dt_max = 0.0;     // s, largest adaptive step; 0 = uncapped
-  /// Modified Newton: reuse the last factorization while convergence is fast.
+  /// Chord Newton within each adaptive step's solve: keep the first
+  /// iteration's factorization while the residual keeps halving.
   bool reuse_jacobian = true;
-  /// MNA linear-solver backend (Auto picks sparse for column-sized systems).
+  /// MNA linear-solver backend of the fixed-step engine (Auto picks sparse
+  /// for column-sized systems; the adaptive engine is always sparse).
   circuit::SolverBackend backend = circuit::SolverBackend::Auto;
 };
 

@@ -1,5 +1,7 @@
-// Batched column simulation: one EnsembleMna drives N per-worker column
-// clones ("lanes") through the same operation sequence at once.
+// Batched column simulation: one EnsembleMna drives N column clones
+// ("lanes") through the same operation sequence at once, on the adaptive
+// engine.  Width 1 is the common case: ColumnSimulator::run with adaptive
+// settings runs here as a single lane.
 //
 // Lanes share structure (the plane sweep clones one column per worker and
 // only rewrites the injected defect value between points) but carry their
@@ -7,12 +9,9 @@
 // lane's results are byte-identical to what a batch of size 1 -- and any
 // other batch composition -- would produce.  The symbolic analysis, the
 // per-mode stamp programs and the device-major assembly are built once in
-// the constructor and amortized over every run of the batch.
-//
-// The run loop mirrors ColumnSimulator::run exactly: the compiled
-// schedule's sample times and interval ends are common checkpoints at
-// which every lane has landed exactly (EnsembleTransient::run semantics),
-// so sampling logic carries over unchanged, per lane.
+// the constructor and amortized over every run of the batch.  The run
+// itself is dram/column_drive.hpp's drive_column, the same initial
+// conditions and schedule walk the fixed-step ColumnSimulator::run takes.
 #pragma once
 
 #include <optional>
@@ -23,22 +22,15 @@
 
 namespace dramstress::dram {
 
-/// Per-operation results of one lane (no trace: batched runs feed plane
-/// sweeps and bisection probes, which read bits and cell voltages only).
-struct EnsembleRunResult {
-  std::vector<OpResult> ops;
-  double final_vc = 0.0;
-};
-
 class EnsembleColumnSim {
 public:
   /// Bind N simulators as lanes.  All lanes must share operating
   /// conditions and settings (adaptive path required); columns must be
   /// structurally identical.
-  explicit EnsembleColumnSim(std::vector<ColumnSimulator*> sims);
+  explicit EnsembleColumnSim(std::vector<const ColumnSimulator*> sims);
 
   size_t num_lanes() const { return sims_.size(); }
-  ColumnSimulator& lane(size_t l) { return *sims_[l]; }
+  const ColumnSimulator& lane(size_t l) const { return *sims_[l]; }
 
   /// Run `seq` on every lane whose active[] entry is nonzero (empty mask =
   /// all lanes), lane l's addressed cell starting at vc_init[l].  With
@@ -48,13 +40,16 @@ public:
   /// multiplies the step controller's LTE tolerance for this run only:
   /// probe runs that merely read a comparator bit tolerate a looser
   /// waveform than stress walks do, and the scale is a fixed constant per
-  /// call site, so it never breaks batch-size determinism.  Inactive
-  /// lanes get a default-constructed result.
-  std::vector<EnsembleRunResult> run_batch(const OpSequence& seq, Side side,
-                                           const std::vector<double>& vc_init,
-                                           const std::vector<char>& active = {},
-                                           bool early_stop = false,
-                                           double lte_scale = 1.0);
+  /// call site, so it never breaks batch-size determinism.  With `trace`
+  /// every active lane records RunResult::trace (probes "bt", "bc", "vc",
+  /// every accepted step) as ColumnSimulator::run reports it; batched
+  /// sweeps and probes leave it off.  Inactive lanes get a
+  /// default-constructed result.
+  std::vector<RunResult> run_batch(const OpSequence& seq, Side side,
+                                   const std::vector<double>& vc_init,
+                                   const std::vector<char>& active = {},
+                                   bool early_stop = false,
+                                   double lte_scale = 1.0, bool trace = false);
 
   /// Batched read_of_initial: bit[l] of one read of a cell at vc_init[l].
   /// Entries for inactive lanes are -1.
@@ -65,7 +60,7 @@ public:
                                          double lte_scale = 1.0);
 
 private:
-  std::vector<ColumnSimulator*> sims_;
+  std::vector<const ColumnSimulator*> sims_;
   circuit::EnsembleMna mna_;
 };
 

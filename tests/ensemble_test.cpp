@@ -4,9 +4,12 @@
 //    pure function of its own inputs, never of its batch neighbours;
 //  * default PlaneOptions run the ensemble engine; fixed stepping and
 //    kScalarReference run the scalar per-point sweep;
-//  * the ensemble engine tracks the scalar adaptive engine within the
-//    solver tolerances (they share semantics but not roundoff: the
-//    ensemble adds chord factorization reuse and a fused MOSFET path);
+//  * a single ColumnSimulator::run is a width-1 lane: it equals the same
+//    lane of an N-lane batch bit for bit;
+//  * the batched sweep tracks the per-point reference sweep within
+//    tolerance (the batched Vsa extraction walks a dyadic grid where the
+//    reference bisects);
+//  * batched sweeps and single runs both record the op.wall.* histograms;
 //  * lanes retire independently: an active-mask subset returns exactly
 //    what the full batch returned for those lanes;
 //  * LTE control is per lane: lanes with different dynamics accept a
@@ -188,6 +191,84 @@ TEST(Ensemble, MatchesScalarEngineWithinTolerance) {
   }
 }
 
+TEST(Ensemble, SingleRunIsALaneOfABatchBitForBit) {
+  // ColumnSimulator::run with adaptive settings is a width-1 ensemble
+  // lane, so it must reproduce lane k of an N-lane batch exactly (no early
+  // stop, full LTE tolerance) -- every op, bit, margin and cell voltage.
+  const double r_values[] = {50e3, 300e3, 2e6};
+  const std::vector<double> vc = {0.3, 1.2, 2.1};
+  const dram::OpSequence seq = {
+      dram::Operation::w1(), dram::Operation::r(), dram::Operation::del(2e-6),
+      dram::Operation::r(),  dram::Operation::w0(), dram::Operation::r()};
+  for (const Side side : {Side::True, Side::Comp}) {
+    SCOPED_TRACE(dram::to_string(side));
+    const Defect d{DefectKind::O3, side};
+    std::vector<std::unique_ptr<dram::DramColumn>> cols;
+    std::vector<std::unique_ptr<defect::Injection>> injs;
+    std::vector<std::unique_ptr<dram::ColumnSimulator>> sims;
+    std::vector<const dram::ColumnSimulator*> lanes;
+    for (const double r : r_values) {
+      cols.push_back(std::make_unique<dram::DramColumn>());
+      injs.push_back(std::make_unique<defect::Injection>(*cols.back(), d, r));
+      sims.push_back(std::make_unique<dram::ColumnSimulator>(
+          *cols.back(), stress::nominal_condition()));
+      lanes.push_back(sims.back().get());
+    }
+    dram::EnsembleColumnSim ens(lanes);
+    const std::vector<dram::RunResult> batch =
+        ens.run_batch(seq, side, vc, {}, /*early_stop=*/false,
+                      /*lte_scale=*/1.0);
+    ASSERT_EQ(batch.size(), 3u);
+    for (size_t k = 0; k < 3; ++k) {
+      SCOPED_TRACE(k);
+      dram::DramColumn col;
+      defect::Injection inj(col, d, r_values[k]);
+      const dram::ColumnSimulator single(col, stress::nominal_condition());
+      const dram::RunResult one = single.run(seq, vc[k], side);
+      ASSERT_EQ(one.ops.size(), batch[k].ops.size());
+      for (size_t i = 0; i < one.ops.size(); ++i) {
+        EXPECT_EQ(one.ops[i].kind, batch[k].ops[i].kind) << "op " << i;
+        EXPECT_EQ(one.ops[i].bit, batch[k].ops[i].bit) << "op " << i;
+        EXPECT_EQ(one.ops[i].sense_margin, batch[k].ops[i].sense_margin)
+            << "op " << i;
+        EXPECT_EQ(one.ops[i].vc, batch[k].ops[i].vc) << "op " << i;
+      }
+      EXPECT_EQ(one.final_vc, batch[k].final_vc);
+      EXPECT_FALSE(one.trace.time.empty());
+      EXPECT_TRUE(batch[k].trace.time.empty());  // batches record no trace
+    }
+  }
+}
+
+TEST(Ensemble, PlaneSweepAndSingleRunsRecordOpWall) {
+  if (!obs::compiled_in()) GTEST_SKIP() << "observability compiled out";
+  const auto wall_count = [](const char* name) {
+    const obs::MetricsSnapshot m = obs::metrics_snapshot();
+    const auto it = m.histograms.find(name);
+    return it == m.histograms.end() ? 0L : it->second.count;
+  };
+  dram::DramColumn col;
+  const dram::ColumnSimulator sim(col, stress::nominal_condition());
+  const Defect d{DefectKind::O3, Side::True};
+  analysis::PlaneOptions opt = small_plane_options();
+  opt.num_r_points = 2;
+  opt.ops_per_point = 1;
+  opt.threads = 1;
+
+  obs::reset_metrics();
+  analysis::generate_plane(col, d, sim, dram::OpKind::W0, opt);
+  EXPECT_GT(obs::metrics_snapshot().counter("ensemble.runs"), 0);
+  EXPECT_GT(wall_count("op.wall.precharge"), 0);
+  EXPECT_GT(wall_count("op.wall.w0"), 0);
+  EXPECT_GT(wall_count("op.wall.r"), 0);  // the Vsa probes
+
+  obs::reset_metrics();
+  sim.run({dram::Operation::w1(), dram::Operation::r()}, 0.0, Side::True);
+  EXPECT_EQ(wall_count("op.wall.precharge"), 1);
+  EXPECT_EQ(wall_count("op.wall.w1"), 1);
+  EXPECT_EQ(wall_count("op.wall.r"), 1);
+}
+
 TEST(Ensemble, LaneRetirementAndActiveMask) {
   // Four lanes of the same column at different defect resistances, read
   // from decisive initial levels: each lane's bit must match the scalar
@@ -199,7 +280,7 @@ TEST(Ensemble, LaneRetirementAndActiveMask) {
   std::vector<std::unique_ptr<dram::DramColumn>> cols;
   std::vector<std::unique_ptr<defect::Injection>> injs;
   std::vector<std::unique_ptr<dram::ColumnSimulator>> sims;
-  std::vector<dram::ColumnSimulator*> lanes;
+  std::vector<const dram::ColumnSimulator*> lanes;
   for (double r : r_values) {
     cols.push_back(std::make_unique<dram::DramColumn>());
     injs.push_back(std::make_unique<defect::Injection>(*cols.back(), d, r));
@@ -247,7 +328,6 @@ TEST(Ensemble, PerLaneLteControl) {
   circuit::EnsembleMna sys(nets);
   circuit::TransientOptions opt;
   opt.dt = 0.5e-9;
-  opt.adaptive = true;
   circuit::EnsembleTransient sim(sys, opt);
   sim.set_initial_condition(0, node, 1.0);
   sim.set_initial_condition(1, node, 1.0);

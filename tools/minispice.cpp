@@ -143,7 +143,7 @@ int main(int raw_argc, char** raw_argv) {
       info.settings_number["dt"] = deck.tran_step;
       info.settings_number["t_stop"] = deck.tran_stop;
       info.settings_number["temp_c"] = deck.temp_c;
-      info.settings_flag["adaptive"] = opt.adaptive;
+      info.settings_flag["adaptive"] = false;  // the fixed-step engine
       const std::chrono::duration<double> wall =
           std::chrono::steady_clock::now() - t0;
       info.duration_s = wall.count();
